@@ -43,6 +43,19 @@ def check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+def _as_block(vectors: Sequence) -> np.ndarray:
+    """Stack vectors as the rows of a 2-D float array, checked as :func:`as_vector` checks one."""
+    try:
+        block = np.array(vectors, dtype=float)
+    except ValueError:
+        if len({np.shape(v) for v in vectors}) > 1:
+            raise DimensionMismatch("vectors must share one dimension") from None
+        raise
+    if block.ndim != 2 or block.size == 0 or not np.isfinite(block).all():
+        raise ValueError("expected a nonempty list of nonempty finite coordinate arrays")
+    return block
+
+
 def inner(x, y) -> float:
     """Euclidean inner product of two vectors of equal length."""
     xv = as_vector(x)
@@ -135,10 +148,7 @@ def gram_matrix(vectors: Sequence) -> np.ndarray:
     """
     if len(vectors) == 0:
         return np.zeros((0, 0))
-    rows = [as_vector(v) for v in vectors]
-    for v in rows[1:]:
-        check_same_dim(rows[0], v)
-    a = np.stack(rows)
+    a = _as_block(vectors)
     g = a @ a.T
     return 0.5 * (g + g.T)
 
@@ -194,11 +204,7 @@ def max_independent_subset(vectors: Sequence, tol: float = DEPENDENCE_TOL) -> In
     excluded when its residual against the span of the retained vectors
     is at most ``tol`` times its own norm.
     """
-    if len(vectors) == 0:
-        raise ValueError("need at least one vector")
-    vecs = [as_vector(v) for v in vectors]
-    for v in vecs[1:]:
-        check_same_dim(vecs[0], v)
+    vecs = _as_block(vectors)
 
     indices: list[int] = []
     ortho: list[np.ndarray] = []
@@ -222,7 +228,7 @@ def max_independent_subset(vectors: Sequence, tol: float = DEPENDENCE_TOL) -> In
     # expansion coefficients refer to the full retained family; entries on
     # vectors retained after an exclusion are zero up to rounding
     coefficients: dict[int, np.ndarray] = {}
-    if indices:
+    if indices and excluded:
         basis = np.stack([vecs[j] for j in indices], axis=1)
         for i in excluded:
             coeff, *_ = np.linalg.lstsq(basis, vecs[i], rcond=None)

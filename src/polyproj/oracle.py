@@ -1,14 +1,17 @@
 """Independent ground truth for projections onto polyhedra.
 
 :func:`oracle_project` minimizes ``|y - x|`` over an intersection of
-hyperplanes and halfspaces by brute force: for every subset of the
-inequality constraints it solves the equality-constrained problem
-(all hyperplanes plus the chosen boundaries), then keeps the candidates
-that are primal feasible with nonnegative multipliers on the chosen
-boundaries.  Since the constraints are affine, the true projection is
-always among the candidates, so the minimum-distance candidate is the
-projection.  The enumeration is exponential by design; it exists to
-check the closed-form projectors, not to replace them.
+hyperplanes and halfspaces by brute force: for every subset of at most
+d - rank(E) inequality constraints (E the hyperplanes) it solves the
+equality-constrained problem (all hyperplanes plus the chosen
+boundaries), then keeps the candidates that are primal feasible with
+nonnegative multipliers on the chosen boundaries.  Since the
+constraints are affine, the true projection is always among the
+candidates, so the minimum-distance candidate is the projection.  A
+larger subset adds no candidate: the boundaries it keeps after
+reduction are a visited subset, reduced to the same rows.  The
+enumeration is exponential by design; it exists to check the
+closed-form projectors, not to replace them.
 
 :func:`kkt_check` evaluates the first-order optimality residuals of a
 proposed projection: stationarity of the quadratic objective, primal
@@ -18,19 +21,19 @@ feasibility, dual nonnegativity, and complementary slackness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, SingularGram, TooManyConstraints
-from .linalg import DEPENDENCE_TOL, as_vector, solve_gram
+from .linalg import DEPENDENCE_TOL, as_vector, max_independent_subset, solve_gram
 from .sets import (
     Feasibility,
     Halfspace,
     Hyperplane,
     LinearSet,
     is_empty,
-    membership_bound,
     reduce_hyperplane_system,
 )
 
@@ -149,8 +152,9 @@ def oracle_project(
 ) -> OracleResult:
     """Brute-force projection onto an intersection of linear sets.
 
-    Enumerates all subsets of the inequality constraints as candidate
-    active sets; keeps candidates that are feasible for every
+    Enumerates the subsets of at most ``d - rank(E)`` inequalities as
+    candidate active sets (a larger one reduces to a visited subset with
+    the same candidate); keeps candidates that are feasible for every
     constraint and whose active multipliers are nonnegative (within
     ``tol``); returns the minimum-distance candidate, breaking distance
     ties toward the lexicographically smallest active set.  Raises
@@ -170,62 +174,51 @@ def oracle_project(
             f"{m} inequality constraints exceed the enumeration limit of {MAX_INEQUALITIES}"
         )
 
+    ne = len(eq)
+    rows = [s for _, s in eq] + [s.boundary() for _, s in ineq]
+    offsets = np.array([s.eta for s in rows])
+    slack_base = 1.0 + np.abs(offsets)
+    normal_norms = np.array([float(np.linalg.norm(s.u)) for s in rows])
+    rank_e = len(max_independent_subset([s.u for _, s in eq], dependence_tol).indices) if eq else 0
+
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    for mask in range(1 << m):
-        active = tuple(i for i in range(m) if mask & (1 << i))
-        planes = [s for _, s in eq] + [ineq[i][1].boundary() for i in active]
-        ineq_offset = len(eq)
-        if planes:
-            reduced = reduce_hyperplane_system(planes, dependence_tol)
-            if reduced.status is Feasibility.INFEASIBLE:
-                continue
-            if reduced.retained:
-                rhs = [float(np.dot(xv, pl.u)) - pl.eta for pl in reduced.retained]
-                try:
-                    beta = solve_gram([pl.u for pl in reduced.retained], rhs)
-                except SingularGram:
-                    continue
-                point = xv.copy()
-                for b, pl in zip(beta, reduced.retained):
-                    point -= b * pl.u
-                multipliers = np.zeros(len(planes))
-                for b, idx in zip(beta, reduced.retained_indices):
-                    multipliers[idx] = b
-            else:
-                point = xv.copy()
-                multipliers = np.zeros(len(planes))
-        else:
+    for k in range(min(m, xv.shape[0] - rank_e) + 1):
+        for active in combinations(range(m), k):
+            planes = rows[:ne] + [rows[ne + i] for i in active]
+            multipliers = np.zeros(len(planes))
             point = xv.copy()
-            multipliers = np.zeros(0)
+            if planes:
+                reduced = reduce_hyperplane_system(planes, dependence_tol)
+                if reduced.status is Feasibility.INFEASIBLE:
+                    continue
+                if reduced.retained:
+                    rhs = [float(np.dot(xv, pl.u)) - pl.eta for pl in reduced.retained]
+                    try:
+                        beta = solve_gram([pl.u for pl in reduced.retained], rhs)
+                    except SingularGram:
+                        continue
+                    for b, pl in zip(beta, reduced.retained):
+                        point -= b * pl.u
+                    multipliers[list(reduced.retained_indices)] = beta
 
-        lam_active = multipliers[ineq_offset:]
-        if np.any(lam_active < -tol):
-            continue
+            lam_active = multipliers[ne:]
+            if np.any(lam_active < -tol):
+                continue
 
-        feasible = True
-        for _, s in eq:
-            bound = membership_bound(s, point, tol)
-            if abs(float(np.dot(point, s.u)) - s.eta) > bound:
-                feasible = False
-                break
-        if feasible:
-            for _, s in ineq:
-                bound = membership_bound(s, point, tol)
-                if float(np.dot(point, s.u)) - s.eta > bound:
-                    feasible = False
-                    break
-        if not feasible:
-            continue
+            # membership_bound's arithmetic for all rows at once; per-row
+            # np.dot, since a matrix product rounds differently
+            gaps = np.array([np.dot(point, s.u) for s in rows]) - offsets
+            gaps[:ne] = np.abs(gaps[:ne])
+            bounds = tol * (slack_base + normal_norms * float(np.linalg.norm(point)))
+            if np.any(gaps > bounds):
+                continue
 
-        lam_full = np.zeros(m)
-        for pos, i in enumerate(active):
-            lam_full[i] = max(lam_active[pos], 0.0)
-        beta_full = multipliers[: len(eq)]
-        dist = float(np.linalg.norm(point - xv))
-        key = (dist, active)
-        if best is None or key < (best[0], best[1]):
-            best = (dist, active, point, lam_full, beta_full)
+            lam_full = np.zeros(m)
+            lam_full[list(active)] = np.maximum(lam_active, 0.0)
+            dist = float(np.linalg.norm(point - xv))
+            if best is None or (dist, active) < best[:2]:
+                best = (dist, active, point, lam_full, multipliers[:ne])
 
     if best is None:
         raise EmptySet("empty intersection")

@@ -198,3 +198,33 @@ class TestMaxIndependentSubset:
     def test_greedy_keeps_first(self):
         res = max_independent_subset([[2, 0], [1, 0], [0, 3]])
         assert res.indices == (0, 2)
+
+
+BLOCK_KERNELS = {
+    "gram_matrix": gram_matrix,
+    "solve_gram": lambda vecs: solve_gram(vecs, np.ones(len(vecs))),
+    "max_independent_subset": lambda vecs: np.array(max_independent_subset(vecs).indices),
+}
+
+
+@pytest.mark.parametrize("kernel", BLOCK_KERNELS.values(), ids=BLOCK_KERNELS.keys())
+class TestBlockValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_row_rejected(self, kernel, bad):
+        with pytest.raises(ValueError):
+            kernel([np.array([1.0, 0.0]), np.array([0.0, bad])])
+
+    def test_ragged_rows_rejected(self, kernel):
+        with pytest.raises(DimensionMismatch):
+            kernel([np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0])])
+        with pytest.raises(DimensionMismatch):
+            kernel([[1, 0], [0, 1, 2]])
+
+    def test_empty_vectors_rejected(self, kernel):
+        with pytest.raises(ValueError):
+            kernel([np.array([]), np.array([])])
+
+    def test_integer_lists_accepted(self, kernel):
+        for vecs in ([[1, 0], [0, 2]], [[1, 0, 0], [1, 1, 0], [0, 2, 3]]):
+            floats = [np.array(v, dtype=float) for v in vecs]
+            np.testing.assert_array_equal(kernel(vecs), kernel(floats))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import polyproj.oracle
 from polyproj import (
     DimensionMismatch,
     EmptySet,
@@ -15,8 +16,8 @@ from polyproj import (
     reduce_hyperplane_system,
     solve_gram,
 )
-from polyproj.sets import Feasibility
-from polyproj.instances import random_point
+from polyproj.sets import Feasibility, membership_bound
+from polyproj.instances import random_point, unit_vector
 
 from helpers import (
     EMPTY_LD_PAIR_CASES,
@@ -114,6 +115,129 @@ class TestOracleProject:
             out = project_hyperplanes(planes, x)
             assert np.linalg.norm(point - out.point) <= 1e-9
             assert cert.valid
+
+
+def full_enumeration(sets, x, tol=1e-9):
+    """Reference oracle: every one of the 2^m active sets, from public primitives."""
+    x = np.asarray(x, dtype=float)
+    eq = [s for s in sets if isinstance(s, Hyperplane)]
+    ineq = [s for s in sets if isinstance(s, Halfspace)]
+    m = len(ineq)
+    best = None
+    for mask in range(1 << m):
+        active = tuple(i for i in range(m) if mask & (1 << i))
+        planes = eq + [ineq[i].boundary() for i in active]
+        point = x.copy()
+        multipliers = np.zeros(len(planes))
+        if planes:
+            red = reduce_hyperplane_system(planes)
+            if red.status is Feasibility.INFEASIBLE:
+                continue
+            if red.retained:
+                rhs = [float(np.dot(x, p.u)) - p.eta for p in red.retained]
+                beta = solve_gram([p.u for p in red.retained], rhs)
+                for b, p in zip(beta, red.retained):
+                    point -= b * p.u
+                for b, idx in zip(beta, red.retained_indices):
+                    multipliers[idx] = b
+        lam_active = multipliers[len(eq):]
+        if np.any(lam_active < -tol):
+            continue
+        if any(abs(float(np.dot(point, s.u)) - s.eta) > membership_bound(s, point, tol) for s in eq):
+            continue
+        if any(float(np.dot(point, s.u)) - s.eta > membership_bound(s, point, tol) for s in ineq):
+            continue
+        lam = np.zeros(m)
+        for pos, i in enumerate(active):
+            lam[i] = max(lam_active[pos], 0.0)
+        dist = float(np.linalg.norm(point - x))
+        if best is None or (dist, active) < best[:2]:
+            best = (dist, active, point, lam, multipliers[: len(eq)])
+    if best is None:
+        raise EmptySet("empty intersection")
+    return best[2:]
+
+
+def degenerate_instance(rng, dim, m):
+    """Planes and halfspaces around an anchor, with the degeneracies the
+    active-set pruning must survive: duplicated, scaled and opposed
+    halfspaces, zero normals, and a duplicated hyperplane."""
+    anchor = random_point(rng, dim, 1.0)
+    sets = []
+    for _ in range(int(rng.integers(0, 3))):
+        u = unit_vector(rng, dim)
+        sets.append(Hyperplane(u, float(np.dot(u, anchor))))
+    if sets and rng.uniform() < 0.4:
+        sets.append(Hyperplane(2.0 * sets[0].u, 2.0 * sets[0].eta))
+    if rng.uniform() < 0.2:
+        sets.append(Hyperplane(np.zeros(dim), 0.0))
+    halfspaces = []
+    for _ in range(m):
+        r = rng.uniform()
+        if r < 0.1:
+            halfspaces.append(Halfspace(np.zeros(dim), float(rng.choice([0.0, 0.5]))))
+        elif r < 0.35 and halfspaces:
+            h = halfspaces[int(rng.integers(len(halfspaces)))]
+            c = float(rng.choice([1.0, 3.0, -1.0]))
+            shift = float(rng.choice([0.0, 0.3, -0.5]))
+            halfspaces.append(Halfspace(c * h.u, c * h.eta + shift))
+        else:
+            u = unit_vector(rng, dim)
+            halfspaces.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.uniform(-0.2, 1.0))))
+    sets += halfspaces
+    order = rng.permutation(len(sets))
+    return [sets[i] for i in order], anchor + random_point(rng, dim)
+
+
+class TestActiveSetPruning:
+    def test_pruning_matches_full_enumeration_bit_for_bit(self):
+        rng = np.random.default_rng(46)
+        outcomes = {"point": 0, "empty": 0, "m_above_d": 0}
+        for trial in range(120):
+            dim = 2 + trial % 4
+            m = int(rng.integers(0, 9))
+            sets, x = degenerate_instance(rng, dim, m)
+            outcomes["m_above_d"] += m > dim
+            try:
+                expected = full_enumeration(sets, x)
+            except EmptySet:
+                outcomes["empty"] += 1
+                with pytest.raises(EmptySet):
+                    oracle_project(sets, x)
+                continue
+            outcomes["point"] += 1
+            point, cert = oracle_project(sets, x)
+            for got, want in zip((point, cert.lam, cert.beta), expected):
+                assert np.array_equal(got, want)
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_enumeration_capped_by_equality_rank(self, monkeypatch):
+        # d = 5, one plane, 8 halfspaces: sum_{k<=4} C(8,k) = 163 active sets;
+        # duplicating the plane leaves rank(E) = 1, so the count must not move
+        calls = []
+        reduce = polyproj.oracle.reduce_hyperplane_system
+
+        def counting_reduce(planes, tol):
+            calls.append(len(planes))
+            return reduce(planes, tol)
+
+        monkeypatch.setattr(polyproj.oracle, "reduce_hyperplane_system", counting_reduce)
+        rng = np.random.default_rng(47)
+        anchor = random_point(rng, 5, 1.0)
+        u = unit_vector(rng, 5)
+        plane = Hyperplane(u, float(np.dot(u, anchor)))
+        halfspaces = []
+        for _ in range(8):
+            u = unit_vector(rng, 5)
+            halfspaces.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.uniform(0.0, 1.0))))
+        x = anchor + random_point(rng, 5)
+        counts = []
+        for planes in ([plane], [plane, plane]):
+            calls.clear()
+            oracle_project(planes + halfspaces, x)
+            counts.append(len(calls))
+        assert counts[0] <= 164
+        assert counts[1] == counts[0]
 
 
 class TestKktCheck:
