@@ -44,18 +44,29 @@ def project_hyperplane(plane: Hyperplane, x) -> np.ndarray:
     return xv + step * u
 
 
-def project_halfspace(half: Halfspace, x, boundary_tol: float = BOUNDARY_TOL) -> np.ndarray:
+def halfspace_step(half: Halfspace, xv: np.ndarray) -> tuple[np.ndarray, float]:
+    """Step onto a halfspace with a nonzero normal; returns (point, multiplier >= 0).
+
+    Points inside or within the boundary tolerance come back unchanged
+    with multiplier 0; points outside move along the normal onto the
+    boundary.
+    """
+    u = half.u
+    value = float(np.dot(xv, u)) - half.eta
+    if value <= membership_bound(half, xv, BOUNDARY_TOL):
+        return xv.copy(), 0.0
+    t = value / float(np.dot(u, u))
+    return xv - t * u, t
+
+
+def project_halfspace(half: Halfspace, x) -> np.ndarray:
     """Nearest point of the halfspace: identity inside, boundary projection outside."""
     xv = _checked_point(half, x)
     if half.has_zero_normal:
         if half.eta >= 0.0:
             return xv.copy()
         raise EmptySet("halfspace with zero normal and negative offset is empty")
-    u = half.u
-    value = float(np.dot(xv, u)) - half.eta
-    if value <= membership_bound(half, xv, boundary_tol):
-        return xv.copy()
-    return xv - (value / float(np.dot(u, u))) * u
+    return halfspace_step(half, xv)[0]
 
 
 def project_onto(s: LinearSet, x) -> np.ndarray:

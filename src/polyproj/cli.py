@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 when the requested intersection is empty,
 1 on malformed input or configuration.  Diagnostics go to stderr, data
 to stdout or the requested output files.  The environment variable
-``POLYPROJ_TOL`` overrides the default membership tolerance.
+``POLYPROJ_TOL`` overrides the KKT tolerance that ``project`` certifies
+results with (the oracle's and ``kkt_check``'s ``tol``).
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from .closed_form import (
 from .errors import EmptySet, PolyprojError
 from .instances import (
     generate_instance,
+    halfspace_pair,
+    hyperplane_halfspace,
     pair_of_normals,
     random_offset,
     random_point,
 )
-from .iterate import dykstra, rate_gamma
-from .oracle import KktCertificate, kkt_check, oracle_project
+from .iterate import dykstra, rate_gamma, write_csv
+from .oracle import KKT_TOL, KktCertificate, kkt_check, oracle_project
 from .sets import (
     MEMBERSHIP_TOL,
     Halfspace,
@@ -44,10 +47,11 @@ from .sets import (
 from .atomic import project_onto
 
 
-def membership_tol() -> float:
+def certificate_tol() -> float:
+    """KKT tolerance for ``project``: ``POLYPROJ_TOL`` if set, else ``KKT_TOL``."""
     raw = os.environ.get("POLYPROJ_TOL")
     if raw is None:
-        return MEMBERSHIP_TOL
+        return KKT_TOL
     try:
         value = float(raw)
     except ValueError as exc:
@@ -147,7 +151,7 @@ def cmd_project(args) -> int:
     if not 0 <= args.point < len(inst.points):
         raise ValueError(f"point index {args.point} out of range")
     x = inst.points[args.point]
-    tol = membership_tol()
+    tol = certificate_tol()
     if args.method == "closed_form":
         result = _closed_form_result(inst, x, tol)
     elif args.method == "oracle":
@@ -233,6 +237,12 @@ def _load_config(path) -> ExperimentConfig:
     )
 
 
+def _tally(counts, family, ok) -> None:
+    total_ok = counts.setdefault(family, [0, 0])
+    total_ok[0] += 1
+    total_ok[1] += 1 if ok else 0
+
+
 def _experiment_rates(rng, config, rows, counts):
     dim = config.dim
     k_max = config.k_max
@@ -241,16 +251,12 @@ def _experiment_rates(rng, config, rows, counts):
         x = random_point(rng, dim)
         if trial % 2 == 0:
             family = "halfspace_pair_rate"
-            u1, u2 = pair_of_normals(rng, dim, "negative")
-            first = Halfspace(u1, random_offset(rng))
-            second = Halfspace(u2, random_offset(rng))
+            first, second = halfspace_pair(rng, dim, "negative")
             reference = project_halfspace_pair(first, second, x).point
         else:
             family = "plane_halfspace_rate"
             flavor = "negative" if rng.uniform() < 0.5 else "positive"
-            u1, u2 = pair_of_normals(rng, dim, flavor)
-            first = Hyperplane(u1, random_offset(rng))
-            second = Halfspace(u2, random_offset(rng))
+            first, second = hyperplane_halfspace(rng, dim, flavor)
             reference = project_hyperplane_halfspace(first, second, x).point
         gamma = rate_gamma(first.u, second.u)
         base = float(np.linalg.norm(x - reference))
@@ -263,9 +269,7 @@ def _experiment_rates(rng, config, rows, counts):
             ok = observed <= bound + slack
             all_ok = all_ok and ok
             rows.append([trial, gamma, k, observed, bound, ok])
-        counts.setdefault(family, [0, 0])
-        counts[family][0] += 1
-        counts[family][1] += 1 if all_ok else 0
+        _tally(counts, family, all_ok)
 
 
 def _one_exactness_row(first, second, x, reference):
@@ -281,44 +285,28 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
         x = random_point(rng, dim)
         subrows = []
         if include_exact:
-            u1, u2 = pair_of_normals(
-                rng, dim, "dependent_positive" if rng.uniform() < 0.5 else "dependent_negative"
-            )
-            eta1, eta2 = random_offset(rng), random_offset(rng)
-            n1, n2 = float(np.linalg.norm(u1)), float(np.linalg.norm(u2))
-            if float(np.dot(u1, u2)) < 0:
-                while eta1 * n2 + eta2 * n1 < 0.0:
-                    eta1, eta2 = random_offset(rng), random_offset(rng)
-            w1, w2 = Halfspace(u1, eta1), Halfspace(u2, eta2)
-            ref = project_halfspace_pair(w1, w2, x).point
-            dev = _one_exactness_row(w1, w2, x, ref)
-            subrows.append(("dependent_halfspace_pair", dev, dev <= tol))
-
-            u1, u2 = pair_of_normals(rng, dim, "orthogonal")
-            w1, w2 = Halfspace(u1, random_offset(rng)), Halfspace(u2, random_offset(rng))
-            ref = project_halfspace_pair(w1, w2, x).point
-            dev = _one_exactness_row(w1, w2, x, ref)
-            subrows.append(("orthogonal_halfspace_pair", dev, dev <= tol))
+            dependent = "dependent_positive" if rng.uniform() < 0.5 else "dependent_negative"
+            for flavor, label in (
+                (dependent, "dependent_halfspace_pair"),
+                ("orthogonal", "orthogonal_halfspace_pair"),
+            ):
+                w1, w2 = halfspace_pair(rng, dim, flavor)
+                ref = project_halfspace_pair(w1, w2, x).point
+                dev = _one_exactness_row(w1, w2, x, ref)
+                subrows.append((label, dev, dev <= tol))
 
             for flavor, label in (
                 ("dependent_positive", "dependent_plane_halfspace"),
                 ("orthogonal", "orthogonal_plane_halfspace"),
             ):
-                u1, u2 = pair_of_normals(rng, dim, flavor)
-                eta1, eta2 = random_offset(rng), random_offset(rng)
-                if flavor == "dependent_positive":
-                    n1, n2 = float(np.linalg.norm(u1)), float(np.linalg.norm(u2))
-                    while eta1 * n2 > eta2 * n1:
-                        eta1, eta2 = random_offset(rng), random_offset(rng)
-                h1, w2 = Hyperplane(u1, eta1), Halfspace(u2, eta2)
+                h1, w2 = hyperplane_halfspace(rng, dim, flavor)
                 ref = project_hyperplane_halfspace(h1, w2, x).point
                 dev_f = _one_exactness_row(h1, w2, x, ref)
                 dev_r = _one_exactness_row(w2, h1, x, ref)
                 subrows.append((label + "_fwd", dev_f, dev_f <= tol))
                 subrows.append((label + "_rev", dev_r, dev_r <= tol))
         if include_feasible:
-            u1, u2 = pair_of_normals(rng, dim, "positive")
-            w1, w2 = Halfspace(u1, random_offset(rng)), Halfspace(u2, random_offset(rng))
+            w1, w2 = halfspace_pair(rng, dim, "positive")
             composed = project_onto(w2, project_onto(w1, x))
             violation = max(
                 float(np.dot(composed, w1.u)) - w1.eta,
@@ -332,9 +320,7 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
             subrows.append(("one_step_feasible", violation, ok))
         for family, dev, ok in subrows:
             rows.append([trial, family, dev, ok])
-            counts.setdefault(family, [0, 0])
-            counts[family][0] += 1
-            counts[family][1] += 1 if ok else 0
+            _tally(counts, family, ok)
 
 
 def _experiment_dykstra(rng, config, rows, counts):
@@ -356,24 +342,7 @@ def _experiment_dykstra(rng, config, rows, counts):
         deviation = float(np.linalg.norm(trace.final - reference))
         ok = deviation <= tol
         rows.append([trial, len(trace.iterates) - 1, deviation, ok])
-        counts.setdefault("dykstra_pair", [0, 0])
-        counts["dykstra_pair"][0] += 1
-        counts["dykstra_pair"][1] += 1 if ok else 0
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for value in row:
-                if isinstance(value, bool):
-                    cells.append("true" if value else "false")
-                elif isinstance(value, float):
-                    cells.append(format(value, ".17g"))
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+        _tally(counts, "dykstra_pair", ok)
 
 
 def cmd_experiment(args) -> int:
@@ -397,17 +366,17 @@ def cmd_experiment(args) -> int:
     if case_filter is None:
         _experiment_dykstra(rng, config, dykstra_rows, counts)
 
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "rates.csv"),
         ["trial", "gamma", "k", "observed_error", "bound_gamma_pow_k", "ok"],
         rate_rows,
     )
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "exactness.csv"),
         ["trial", "family", "deviation", "ok"],
         exact_rows,
     )
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "dykstra.csv"),
         ["trial", "sweeps", "deviation", "ok"],
         dykstra_rows,

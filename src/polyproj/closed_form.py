@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import halfspace_step
 from .errors import DependentNormals, DimensionMismatch, EmptySet
 from .linalg import DEPENDENCE_TOL, PairTag, as_vector, classify_pair, solve_gram
 from .sets import Halfspace, Hyperplane, reduce_hyperplane_system, Feasibility
@@ -121,15 +122,6 @@ def classify_region_halfspace_pair(
     return _region_of(*_pair_terms(w1, w2, xv))
 
 
-def _halfspace_step(u: np.ndarray, eta: float, xv: np.ndarray):
-    """One-sided projection step; returns (point, multiplier >= 0)."""
-    value = float(np.dot(xv, u)) - eta
-    if value > 0.0:
-        t = value / float(np.dot(u, u))
-        return xv - t * u, t
-    return xv.copy(), 0.0
-
-
 def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown:
     u1, u2 = w1.u, w2.u
     n1 = float(np.linalg.norm(u1))
@@ -144,14 +136,14 @@ def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown
     if n2 == 0.0:
         if w2.eta < 0.0:
             raise EmptySet("empty intersection")
-        point, t = _halfspace_step(u1, w1.eta, xv)
+        point, t = halfspace_step(w1, xv)
         return ProjectionBreakdown(
             point, np.array([t, 0.0]), (u1, u2), case="first_set_only"
         )
     if n1 == 0.0:
         if w1.eta < 0.0:
             raise EmptySet("empty intersection")
-        point, t = _halfspace_step(u2, w2.eta, xv)
+        point, t = halfspace_step(w2, xv)
         return ProjectionBreakdown(
             point, np.array([0.0, t]), (u1, u2), case="second_set_only"
         )
@@ -159,11 +151,10 @@ def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown
     if pc.tag is PairTag.DEPENDENT_POSITIVE:
         # The intersection is a single halfspace whose normal merges the
         # pair; the lone multiplier refers to that merged normal.
-        merged_u = n2 * u1
-        merged_eta = min(w1.eta * n2, w2.eta * n1)
-        point, t = _halfspace_step(merged_u, merged_eta, xv)
+        merged = Halfspace(n2 * u1, min(w1.eta * n2, w2.eta * n1))
+        point, t = halfspace_step(merged, xv)
         return ProjectionBreakdown(
-            point, np.array([t]), (merged_u,), case="merged_halfspace"
+            point, np.array([t]), (merged.u,), case="merged_halfspace"
         )
 
     # Opposite normals: a slab, or nothing when the offsets contradict.
@@ -245,7 +236,7 @@ def project_hyperplane_halfspace(
             if n2 == 0.0:
                 point, t = xv.copy(), 0.0
             else:
-                point, t = _halfspace_step(u2, w2.eta, xv)
+                point, t = halfspace_step(w2, xv)
             return ProjectionBreakdown(
                 point, np.array([0.0, t]), (u1, u2), case="plane_is_whole_space"
             )

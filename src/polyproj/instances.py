@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import classify_pair, PairTag
 from .sets import Halfspace, Hyperplane, Instance
 
 FRACTION_DEPENDENT = 0.10
@@ -91,38 +90,52 @@ def _mixed_flavor(rng: np.random.Generator) -> str:
     return "negative" if rng.uniform() < 0.5 else "positive"
 
 
-def random_halfspace_pair(rng: np.random.Generator, dim: int) -> tuple[Halfspace, Halfspace]:
-    """A halfspace pair from the documented case mix, never empty."""
-    flavor = _mixed_flavor(rng)
-    u1, u2 = pair_of_normals(rng, dim, flavor)
+def _nonempty_offsets(rng: np.random.Generator, u1, u2, flavor: str, plane_first: bool):
+    """Draw (eta1, eta2), redrawing both while the pair's intersection is empty.
+
+    Only dependent normals can give an empty pair, exactly when
+    sign * eta1 * |u2| > eta2 * |u1| with sign the sign of <u1, u2>.
+    For opposed normals that reads eta1 * |u2| + eta2 * |u1| < 0; aligned
+    normals are empty only when the first set is a hyperplane.
+    """
     eta1 = random_offset(rng)
     eta2 = random_offset(rng)
-    if flavor == "dependent_negative":
+    if flavor == "dependent_negative" or (plane_first and flavor == "dependent_positive"):
         n1 = float(np.linalg.norm(u1))
         n2 = float(np.linalg.norm(u2))
-        while eta1 * n2 + eta2 * n1 < 0.0:
+        sign = 1.0 if flavor == "dependent_positive" else -1.0
+        while sign * eta1 * n2 > eta2 * n1:
             eta1 = random_offset(rng)
             eta2 = random_offset(rng)
+    return eta1, eta2
+
+
+def halfspace_pair(rng: np.random.Generator, dim: int, flavor: str) -> tuple[Halfspace, Halfspace]:
+    """A halfspace pair whose normals have the given flavor, never empty."""
+    u1, u2 = pair_of_normals(rng, dim, flavor)
+    eta1, eta2 = _nonempty_offsets(rng, u1, u2, flavor, plane_first=False)
     return Halfspace(u1, eta1), Halfspace(u2, eta2)
+
+
+def hyperplane_halfspace(
+    rng: np.random.Generator, dim: int, flavor: str
+) -> tuple[Hyperplane, Halfspace]:
+    """A hyperplane and halfspace whose normals have the given flavor, never empty."""
+    u1, u2 = pair_of_normals(rng, dim, flavor)
+    eta1, eta2 = _nonempty_offsets(rng, u1, u2, flavor, plane_first=True)
+    return Hyperplane(u1, eta1), Halfspace(u2, eta2)
+
+
+def random_halfspace_pair(rng: np.random.Generator, dim: int) -> tuple[Halfspace, Halfspace]:
+    """A halfspace pair from the documented case mix, never empty."""
+    return halfspace_pair(rng, dim, _mixed_flavor(rng))
 
 
 def random_hyperplane_halfspace(
     rng: np.random.Generator, dim: int
 ) -> tuple[Hyperplane, Halfspace]:
     """A hyperplane and halfspace from the documented case mix, never empty."""
-    flavor = _mixed_flavor(rng)
-    u1, u2 = pair_of_normals(rng, dim, flavor)
-    eta1 = random_offset(rng)
-    eta2 = random_offset(rng)
-    pc = classify_pair(u1, u2)
-    if pc.linearly_dependent:
-        n1 = float(np.linalg.norm(u1))
-        n2 = float(np.linalg.norm(u2))
-        sign = 1.0 if pc.tag is PairTag.DEPENDENT_POSITIVE else -1.0
-        while sign * eta1 * n2 > eta2 * n1:
-            eta1 = random_offset(rng)
-            eta2 = random_offset(rng)
-    return Hyperplane(u1, eta1), Halfspace(u2, eta2)
+    return hyperplane_halfspace(rng, dim, _mixed_flavor(rng))
 
 
 def random_hyperplane_system(

@@ -16,7 +16,6 @@ from pair classification to expected behavior.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -61,12 +60,31 @@ class IterationTrace:
         """Write rows ``k, x0..x{n-1}, err`` (err blank without a reference)."""
         dim = self.iterates[0].shape[0]
         header = ["k"] + [f"x{i}" for i in range(dim)] + ["err"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k, point in enumerate(self.iterates):
-                err = "" if self.errors is None else f"{self.errors[k]:.17g}"
-                writer.writerow([k] + [f"{c:.17g}" for c in point] + [err])
+        rows = [
+            [k, *point, "" if self.errors is None else self.errors[k]]
+            for k, point in enumerate(self.iterates)
+        ]
+        write_csv(path, header, rows)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write comma-separated rows, one per line, with LF line ends.
+
+    Floats get 17 significant digits so they read back exactly; booleans
+    are written ``true``/``false``; anything else goes through ``str``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = []
+            for value in row:
+                if isinstance(value, bool):
+                    cells.append("true" if value else "false")
+                elif isinstance(value, float):
+                    cells.append(format(value, ".17g"))
+                else:
+                    cells.append(str(value))
+            fh.write(",".join(cells) + "\n")
 
 
 def compose_iterate(
@@ -174,13 +192,9 @@ def rate_gamma(u1, u2) -> float:
     This is the linear convergence factor of the composed projections;
     it is below 1 exactly when the normals are independent.
     """
-    v1 = as_vector(u1)
-    v2 = as_vector(u2)
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
-    if n1 == 0.0 or n2 == 0.0:
+    pc = classify_pair(u1, u2)
+    if pc.tag in (PairTag.BOTH_ZERO, PairTag.FIRST_ZERO, PairTag.SECOND_ZERO):
         raise ZeroNormal("rate constant requires nonzero normals")
-    pc = classify_pair(v1, v2)
     return pc.gamma
 
 

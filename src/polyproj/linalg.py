@@ -64,10 +64,6 @@ def inner(x, y) -> float:
     return float(np.dot(xv, yv))
 
 
-def norm(x) -> float:
-    return float(np.linalg.norm(as_vector(x)))
-
-
 class PairTag(enum.Enum):
     """How a pair of vectors relates: zero members, dependence, or the
     sign of their inner product when independent."""

@@ -14,7 +14,9 @@ from polyproj import (
     project_hyperplane_halfspace,
     project_hyperplanes,
 )
-from polyproj.instances import random_point
+from polyproj.atomic import project_halfspace
+from polyproj.instances import random_point, unit_vector
+from polyproj.sets import membership_bound
 
 from helpers import (
     EMPTY_LD_PAIR_CASES,
@@ -258,6 +260,40 @@ class TestProjectHalfspacePair:
                 continue
             out = project_halfspace_pair(w1, w2, x)
             assert np.linalg.norm(out.point - expected) <= 1e-9
+
+
+def _stepping_branches(rng, dim):
+    """(case, projector, sets, active halfspace) for each dependent branch that steps."""
+    zero = np.zeros(dim)
+    u = unit_vector(rng, dim)
+    w = Halfspace(u, 0.7)
+    aligned = Halfspace(1.5 * u, 2.0)
+    n1, n2 = float(np.linalg.norm(w.u)), float(np.linalg.norm(aligned.u))
+    merged = Halfspace(n2 * w.u, min(w.eta * n2, aligned.eta * n1))
+    return [
+        ("first_set_only", project_halfspace_pair, (w, Halfspace(zero, 1.0)), w),
+        ("second_set_only", project_halfspace_pair, (Halfspace(zero, 0.5), w), w),
+        ("merged_halfspace", project_halfspace_pair, (w, aligned), merged),
+        ("plane_is_whole_space", project_hyperplane_halfspace, (Hyperplane(zero, 0.0), w), w),
+    ]
+
+
+class TestDependentStepsMatchAtomic:
+    def test_point_equals_single_halfspace_projection_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        for dim in (2, 3, 5):
+            for case, project, sets, active in _stepping_branches(rng, dim):
+                on_boundary = active.eta / float(np.dot(active.u, active.u)) * active.u
+                just_outside = on_boundary + (1e-14 / float(np.dot(active.u, active.u))) * active.u
+                value = float(np.dot(just_outside, active.u)) - active.eta
+                assert 0.0 < value <= membership_bound(active, just_outside, 1e-12)
+                points = [just_outside, on_boundary + active.u] + [
+                    random_point(rng, dim) for _ in range(20)
+                ]
+                for x in points:
+                    out = project(*sets, x)
+                    assert out.case == case
+                    assert out.point.tobytes() == project_halfspace(active, x).tobytes()
 
 
 class TestProjectHyperplaneHalfspace:

@@ -3,6 +3,7 @@ import pytest
 
 from polyproj import (
     BehaviorTag,
+    DimensionMismatch,
     EmptySet,
     Halfspace,
     Hyperplane,
@@ -173,6 +174,14 @@ class TestRateGamma:
     def test_zero_normal(self):
         with pytest.raises(ZeroNormal):
             rate_gamma([0, 0], [1, 0])
+
+    def test_zero_second_normal(self):
+        with pytest.raises(ZeroNormal):
+            rate_gamma([1, 0], [0.0, 0.0])
+
+    def test_lengths_checked_before_zero_normals(self):
+        with pytest.raises(DimensionMismatch):
+            rate_gamma([0.0, 0.0, 0.0], [1, 0])
 
 
 class TestVerifyBam:
@@ -464,6 +473,12 @@ class TestTraceExport:
         assert lines[0] == "k,x0,x1,err"
         assert lines[1].startswith("0,2,1,")
         assert lines[1].endswith(",")
+
+    def test_csv_bytes(self, tmp_path):
+        trace = compose_iterate([_projector(Halfspace([1, 0], 0.5))], [2, 1], max_k=3)
+        out = tmp_path / "trace.csv"
+        trace.write_csv(out)
+        assert out.read_bytes() == b"k,x0,x1,err\n0,2,1,\n1,0.5,1,\n2,0.5,1,\n"
 
     def test_csv_errors_column(self, tmp_path):
         w1, w2 = Halfspace([1, 0], 0.0), Halfspace([-0.6, 0.8], 0.0)

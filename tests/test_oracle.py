@@ -16,7 +16,7 @@ from polyproj import (
     reduce_hyperplane_system,
     solve_gram,
 )
-from polyproj.sets import Feasibility, membership_bound
+from polyproj.sets import Feasibility, Membership, contains, membership_bound
 from polyproj.instances import random_point, unit_vector
 
 from helpers import (
@@ -238,6 +238,22 @@ class TestActiveSetPruning:
             counts.append(len(calls))
         assert counts[0] <= 164
         assert counts[1] == counts[0]
+
+
+class TestHyperplaneRowMembership:
+    def test_plane_dropped_as_dependent_still_binds(self):
+        # at dependence_tol 1e-3 the second plane, tilted by 1e-5, counts as a
+        # copy of the first and leaves the Gram solve; the planes still meet
+        # only on the x3 axis, so any point returned must lie on both
+        tilt = 1e-5
+        planes = [Hyperplane([1, 0, 0], 0.0), Hyperplane([np.cos(tilt), np.sin(tilt), 0], 0.0)]
+        sets = planes + [Halfspace([0, 0, 1], 5.0)]
+        try:
+            point, _ = oracle_project(sets, [3, 5, 1], dependence_tol=1e-3)
+        except EmptySet:
+            return
+        for plane in planes:
+            assert contains(plane, point) is Membership.ON_PLANE
 
 
 class TestKktCheck:
