@@ -4,7 +4,7 @@ Exit codes: 0 on success, 2 when the requested intersection is empty,
 1 on malformed input or configuration.  Diagnostics go to stderr, data
 to stdout or the requested output files.  The environment variable
 ``POLYPROJ_TOL`` overrides the KKT tolerance that ``project`` certifies
-results with (the oracle's and ``kkt_check``'s ``tol``).
+results with (the ``tol`` of the oracle and of ``certify``).
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import (
-    ProjectionBreakdown,
-    project_halfspace_pair,
-    project_hyperplane_halfspace,
-    project_hyperplanes,
-)
+from .closed_form import certify, project, project_halfspace_pair, project_hyperplane_halfspace
 from .errors import EmptySet, PolyprojError
 from .instances import (
     generate_instance,
@@ -33,12 +28,10 @@ from .instances import (
     random_point,
 )
 from .iterate import dykstra, rate_gamma, write_csv
-from .oracle import KKT_TOL, KktCertificate, kkt_check, oracle_project
+from .oracle import KKT_TOL, KktCertificate, oracle_project
 from .sets import (
     MEMBERSHIP_TOL,
     Halfspace,
-    Hyperplane,
-    Instance,
     contains,
     Membership,
     instance_to_dict,
@@ -94,55 +87,12 @@ def _certificate_dict(cert: KktCertificate) -> dict:
     }
 
 
-def _closed_form_result(inst: Instance, x: np.ndarray, tol: float) -> dict:
-    sets = inst.sets
-    halfspaces = [s for s in sets if isinstance(s, Halfspace)]
-    hyperplanes = [s for s in sets if isinstance(s, Hyperplane)]
-
-    if not halfspaces:
-        breakdown = project_hyperplanes(hyperplanes, x)
-        cert = kkt_check(hyperplanes, x, breakdown.point, [], breakdown.coefficients, tol)
-        return _result_dict(breakdown, cert)
-    if len(sets) == 2 and len(halfspaces) == 2:
-        w1, w2 = halfspaces
-        breakdown = project_halfspace_pair(w1, w2, x)
-        if breakdown.case == "merged_halfspace":
-            merged_eta = min(
-                w1.eta * float(np.linalg.norm(w2.u)),
-                w2.eta * float(np.linalg.norm(w1.u)),
-            )
-            cert_sets = [Halfspace(breakdown.normals[0], merged_eta)]
-            cert = kkt_check(cert_sets, x, breakdown.point, breakdown.coefficients, [], tol)
-        else:
-            cert = kkt_check([w1, w2], x, breakdown.point, breakdown.coefficients, [], tol)
-        return _result_dict(breakdown, cert)
-    if len(sets) == 2 and len(hyperplanes) == 1:
-        h1, w2 = hyperplanes[0], halfspaces[0]
-        breakdown = project_hyperplane_halfspace(h1, w2, x)
-        cert = kkt_check(
-            [h1, w2],
-            x,
-            breakdown.point,
-            [breakdown.coefficients[1]],
-            [breakdown.coefficients[0]],
-            tol,
-        )
-        return _result_dict(breakdown, cert)
-    raise ValueError(
-        "closed_form supports hyperplane systems, halfspace pairs, "
-        "and hyperplane+halfspace pairs"
-    )
-
-
-def _result_dict(breakdown: ProjectionBreakdown, cert: KktCertificate) -> dict:
-    region_or_case = breakdown.case
-    if breakdown.region is not None:
-        region_or_case = breakdown.region.value
+def _result_dict(point, multipliers, region_or_case, cert: KktCertificate | None) -> dict:
     return {
-        "point": [float(v) for v in breakdown.point],
-        "multipliers": [float(v) for v in breakdown.coefficients],
+        "point": [float(v) for v in point],
+        "multipliers": None if multipliers is None else [float(v) for v in multipliers],
         "region_or_case": region_or_case,
-        "certificate": _certificate_dict(cert),
+        "certificate": None if cert is None else _certificate_dict(cert),
     }
 
 
@@ -153,23 +103,14 @@ def cmd_project(args) -> int:
     x = inst.points[args.point]
     tol = certificate_tol()
     if args.method == "closed_form":
-        result = _closed_form_result(inst, x, tol)
+        bd = project(inst.sets, x)
+        region_or_case = bd.case if bd.region is None else bd.region.value
+        result = _result_dict(bd.point, bd.coefficients, region_or_case, certify(bd, x, tol))
     elif args.method == "oracle":
         point, cert = oracle_project(inst.sets, x, tol)
-        result = {
-            "point": [float(v) for v in point],
-            "multipliers": [float(v) for v in cert.lam] + [float(v) for v in cert.beta],
-            "region_or_case": None,
-            "certificate": _certificate_dict(cert),
-        }
+        result = _result_dict(point, [*cert.lam, *cert.beta], None, cert)
     elif args.method == "dykstra":
-        trace = dykstra(inst.sets, x)
-        result = {
-            "point": [float(v) for v in trace.final],
-            "multipliers": None,
-            "region_or_case": None,
-            "certificate": None,
-        }
+        result = _result_dict(dykstra(inst.sets, x).final, None, None, None)
     else:
         raise ValueError(f"unknown method: {args.method!r}")
     print(canonical_json(result))

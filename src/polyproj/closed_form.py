@@ -13,9 +13,10 @@ Three intersections admit explicit formulas:
   (the plane projection already satisfies the halfspace).
 
 Every projector returns a :class:`ProjectionBreakdown` carrying the
-projected point together with the multipliers on the normals it used,
-so the result can be verified independently through the KKT residuals
-in :mod:`polyproj.oracle`.
+projected point together with the sets it used and a multiplier on
+each, so :func:`certify` can verify the result independently through
+the KKT residuals in :mod:`polyproj.oracle`; :func:`project` picks the
+projector for a family of sets.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from .atomic import halfspace_step
 from .errors import DependentNormals, DimensionMismatch, EmptySet
 from .linalg import DEPENDENCE_TOL, PairTag, as_vector, classify_pair, solve_gram
-from .sets import Halfspace, Hyperplane, reduce_hyperplane_system, Feasibility
+from .oracle import KKT_TOL, KktCertificate, kkt_check
+from .sets import Halfspace, Hyperplane, LinearSet, reduce_hyperplane_system, Feasibility
 
 ILL_CONDITIONED_GAMMA = 1.0 - 1e-6
 
@@ -52,10 +54,13 @@ class Region(enum.Enum):
 
 @dataclass(frozen=True)
 class ProjectionBreakdown:
-    """A projected point plus the multipliers that produce it.
+    """A projected point plus the sets and multipliers that produce it.
 
-    The invariant ``point == x - sum(coefficients[i] * normals[i])``
-    holds to machine precision; halfspace multipliers are nonnegative.
+    ``coefficients[i]`` is the multiplier on ``sets[i]``; the invariant
+    ``point == x - sum(coefficients[i] * normals[i])`` holds to machine
+    precision, and halfspace multipliers are nonnegative.  The sets are
+    the projector's inputs, except in the ``merged_halfspace`` case,
+    whose one set is the halfspace the pair merges into.
     ``case`` labels the dependent-normal branch taken (None on the
     independent path), and ``ill_conditioned`` flags independent pairs
     whose normals are within 1e-6 of dependence: the formulas still
@@ -64,10 +69,14 @@ class ProjectionBreakdown:
 
     point: np.ndarray
     coefficients: np.ndarray
-    normals: tuple[np.ndarray, ...]
+    sets: tuple[LinearSet, ...]
     region: Region | None = None
     case: str | None = None
     ill_conditioned: bool = False
+
+    @property
+    def normals(self) -> tuple[np.ndarray, ...]:
+        return tuple(s.u for s in self.sets)
 
     def reconstruction(self, x) -> np.ndarray:
         """Recompute the point from x and the recorded multipliers."""
@@ -106,9 +115,7 @@ def _region_of(a1, a2, q, n1sq, n2sq) -> Region:
     return Region.C3
 
 
-def classify_region_halfspace_pair(
-    w1: Halfspace, w2: Halfspace, x, tol: float = DEPENDENCE_TOL
-) -> Region:
+def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
     """Locate a point relative to a halfspace pair with independent normals.
 
     Raises DependentNormals when the pair is (numerically) dependent;
@@ -116,7 +123,7 @@ def classify_region_halfspace_pair(
     that geometry instead.
     """
     xv = _checked(w1.u, w2.u, x)
-    pc = classify_pair(w1.u, w2.u, tol)
+    pc = classify_pair(w1.u, w2.u)
     if pc.linearly_dependent:
         raise DependentNormals("region labels require independent normals")
     return _region_of(*_pair_terms(w1, w2, xv))
@@ -131,53 +138,43 @@ def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown
         if min(w1.eta, w2.eta) < 0.0:
             raise EmptySet("empty intersection")
         return ProjectionBreakdown(
-            xv.copy(), np.zeros(2), (u1, u2), case="whole_space"
+            xv.copy(), np.zeros(2), (w1, w2), case="whole_space"
         )
     if n2 == 0.0:
         if w2.eta < 0.0:
             raise EmptySet("empty intersection")
         point, t = halfspace_step(w1, xv)
         return ProjectionBreakdown(
-            point, np.array([t, 0.0]), (u1, u2), case="first_set_only"
+            point, np.array([t, 0.0]), (w1, w2), case="first_set_only"
         )
     if n1 == 0.0:
         if w1.eta < 0.0:
             raise EmptySet("empty intersection")
         point, t = halfspace_step(w2, xv)
         return ProjectionBreakdown(
-            point, np.array([0.0, t]), (u1, u2), case="second_set_only"
+            point, np.array([0.0, t]), (w1, w2), case="second_set_only"
         )
 
     if pc.tag is PairTag.DEPENDENT_POSITIVE:
         # The intersection is a single halfspace whose normal merges the
-        # pair; the lone multiplier refers to that merged normal.
+        # pair; the lone multiplier refers to that merged halfspace.
         merged = Halfspace(n2 * u1, min(w1.eta * n2, w2.eta * n1))
         point, t = halfspace_step(merged, xv)
         return ProjectionBreakdown(
-            point, np.array([t]), (merged.u,), case="merged_halfspace"
+            point, np.array([t]), (merged,), case="merged_halfspace"
         )
 
     # Opposite normals: a slab, or nothing when the offsets contradict.
     if w1.eta * n2 + w2.eta * n1 < 0.0:
         raise EmptySet("empty intersection")
-    a1 = float(np.dot(xv, u1)) - w1.eta
-    a2 = float(np.dot(xv, u2)) - w2.eta
-    if a1 > 0.0:
-        t = a1 / (n1 * n1)
-        return ProjectionBreakdown(
-            xv - t * u1, np.array([t, 0.0]), (u1, u2), case="slab"
-        )
-    if a2 > 0.0:
-        t = a2 / (n2 * n2)
-        return ProjectionBreakdown(
-            xv - t * u2, np.array([0.0, t]), (u1, u2), case="slab"
-        )
-    return ProjectionBreakdown(xv.copy(), np.zeros(2), (u1, u2), case="slab")
+    point, t = halfspace_step(w1, xv)
+    if t > 0.0:
+        return ProjectionBreakdown(point, np.array([t, 0.0]), (w1, w2), case="slab")
+    point, t = halfspace_step(w2, xv)
+    return ProjectionBreakdown(point, np.array([0.0, t]), (w1, w2), case="slab")
 
 
-def project_halfspace_pair(
-    w1: Halfspace, w2: Halfspace, x, tol: float = DEPENDENCE_TOL
-) -> ProjectionBreakdown:
+def project_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> ProjectionBreakdown:
     """Project onto the intersection of two halfspaces.
 
     Dependent normals dispatch over the collapsed geometries; for
@@ -186,7 +183,7 @@ def project_halfspace_pair(
     when the intersection is empty.
     """
     xv = _checked(w1.u, w2.u, x)
-    pc = classify_pair(w1.u, w2.u, tol)
+    pc = classify_pair(w1.u, w2.u)
     if pc.linearly_dependent:
         return _dependent_pair(w1, w2, xv, pc)
 
@@ -206,13 +203,11 @@ def project_halfspace_pair(
         g2 = max((n1sq * a2 - q * a1) / det, 0.0)
     point = xv - g1 * u1 - g2 * u2
     return ProjectionBreakdown(
-        point, np.array([g1, g2]), (u1, u2), region=region, ill_conditioned=flag
+        point, np.array([g1, g2]), (w1, w2), region=region, ill_conditioned=flag
     )
 
 
-def project_hyperplane_halfspace(
-    h1: Hyperplane, w2: Halfspace, x, tol: float = DEPENDENCE_TOL
-) -> ProjectionBreakdown:
+def project_hyperplane_halfspace(h1: Hyperplane, w2: Halfspace, x) -> ProjectionBreakdown:
     """Project onto the intersection of a hyperplane and a halfspace.
 
     With independent normals the intersection is never empty: the
@@ -222,7 +217,7 @@ def project_hyperplane_halfspace(
     the halfspace, or empty.
     """
     xv = _checked(h1.u, w2.u, x)
-    pc = classify_pair(h1.u, w2.u, tol)
+    pc = classify_pair(h1.u, w2.u)
     u1, u2 = h1.u, w2.u
 
     if pc.linearly_dependent:
@@ -238,7 +233,7 @@ def project_hyperplane_halfspace(
             else:
                 point, t = halfspace_step(w2, xv)
             return ProjectionBreakdown(
-                point, np.array([0.0, t]), (u1, u2), case="plane_is_whole_space"
+                point, np.array([0.0, t]), (h1, w2), case="plane_is_whole_space"
             )
         if n2 == 0.0:
             if w2.eta < 0.0:
@@ -247,7 +242,7 @@ def project_hyperplane_halfspace(
             return ProjectionBreakdown(
                 xv - xi1 * u1,
                 np.array([xi1, 0.0]),
-                (u1, u2),
+                (h1, w2),
                 case="halfspace_is_whole_space",
             )
         sign = 1.0 if pc.tag is PairTag.DEPENDENT_POSITIVE else -1.0
@@ -257,7 +252,7 @@ def project_hyperplane_halfspace(
         return ProjectionBreakdown(
             xv - xi1 * u1,
             np.array([xi1, 0.0]),
-            (u1, u2),
+            (h1, w2),
             case="plane_inside_halfspace",
         )
 
@@ -272,7 +267,7 @@ def project_hyperplane_halfspace(
         return ProjectionBreakdown(
             point,
             np.array([xi1, xi2]),
-            (u1, u2),
+            (h1, w2),
             region=Region.IN_C,
             ill_conditioned=flag,
         )
@@ -280,7 +275,7 @@ def project_hyperplane_halfspace(
     return ProjectionBreakdown(
         xv - xi1 * u1,
         np.array([xi1, 0.0]),
-        (u1, u2),
+        (h1, w2),
         region=Region.NOT_IN_C,
         ill_conditioned=flag,
     )
@@ -306,9 +301,8 @@ def project_hyperplanes(
     if reduced.status is Feasibility.INFEASIBLE:
         raise EmptySet("empty intersection")
     coefficients = np.zeros(len(planes))
-    normals = tuple(p.u for p in planes)
     if not reduced.retained:
-        return ProjectionBreakdown(xv.copy(), coefficients, normals)
+        return ProjectionBreakdown(xv.copy(), coefficients, tuple(planes))
     rhs = [float(np.dot(xv, p.u)) - p.eta for p in reduced.retained]
     beta = solve_gram([p.u for p in reduced.retained], rhs)
     point = xv.copy()
@@ -316,4 +310,32 @@ def project_hyperplanes(
         point -= b * p.u
     for b, idx in zip(beta, reduced.retained_indices):
         coefficients[idx] = b
-    return ProjectionBreakdown(point, coefficients, normals)
+    return ProjectionBreakdown(point, coefficients, tuple(planes))
+
+
+def project(sets: Sequence[LinearSet], x) -> ProjectionBreakdown:
+    """Project onto a family of sets that has a closed form.
+
+    The families are hyperplane systems, halfspace pairs, and one
+    hyperplane plus one halfspace (in either order); any other family
+    raises ValueError.
+    """
+    halfspaces = [s for s in sets if isinstance(s, Halfspace)]
+    hyperplanes = [s for s in sets if isinstance(s, Hyperplane)]
+    if not halfspaces:
+        return project_hyperplanes(hyperplanes, x)
+    if len(sets) == 2 and len(halfspaces) == 2:
+        return project_halfspace_pair(*halfspaces, x)
+    if len(sets) == 2 and len(hyperplanes) == 1:
+        return project_hyperplane_halfspace(hyperplanes[0], halfspaces[0], x)
+    raise ValueError(
+        "closed_form supports hyperplane systems, halfspace pairs, "
+        "and hyperplane+halfspace pairs"
+    )
+
+
+def certify(bd: ProjectionBreakdown, x, tol: float = KKT_TOL) -> KktCertificate:
+    """KKT certificate of a breakdown against the sets its multipliers refer to."""
+    lam = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Halfspace)]
+    beta = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Hyperplane)]
+    return kkt_check(bd.sets, x, bd.point, lam, beta, tol)

@@ -8,7 +8,8 @@ dependence of a pair is decided relative to the Cauchy-Schwarz gap:
 
 which is scale invariant and reduces to the exact criterion as
 ``tol -> 0``.  The default ``DEPENDENCE_TOL`` is deliberately exposed:
-every caller that classifies geometry accepts an override.
+the kernels here, the hyperplane-system reduction and projection, and
+the oracle accept an override; the pair projectors use the default.
 """
 
 from __future__ import annotations

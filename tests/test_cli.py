@@ -142,6 +142,32 @@ class TestProject:
         assert np.linalg.norm(points["closed_form"] - points["oracle"]) <= 1e-9
         assert np.linalg.norm(points["closed_form"] - points["dykstra"]) <= 1e-6
 
+    def test_closed_form_dependent_pairs_are_certified(self, tmp_path, capsys):
+        merged = [
+            {"kind": "halfspace", "u": [1.0, 0.0], "eta": 1.0},
+            {"kind": "halfspace", "u": [2.0, 0.0], "eta": 1.0},
+        ]
+        slab = [
+            {"kind": "halfspace", "u": [1.0, 0.0], "eta": 1.0},
+            {"kind": "halfspace", "u": [-2.0, 0.0], "eta": 1.0},
+        ]
+        for sets, case in ((merged, "merged_halfspace"), (slab, "slab")):
+            path = self._write_instance(
+                tmp_path, {"dim": 2, "sets": sets, "points": [[3.0, 1.0], [-3.0, 0.0]]}
+            )
+            for point in ("0", "1"):
+                code, out, _ = run(
+                    ["project", "--instance", path, "--point", point, "--method", "closed_form"],
+                    capsys,
+                )
+                assert code == 0
+                result = json.loads(out)
+                assert result["region_or_case"] == case
+                assert result["certificate"]["valid"] is True
+                if case == "merged_halfspace":
+                    assert len(result["multipliers"]) == 1
+                    assert result["multipliers"] == result["certificate"]["lambda"]
+
     def test_empty_intersection_exit_code(self, tmp_path, capsys):
         path = self._write_instance(
             tmp_path,

@@ -7,15 +7,17 @@ from polyproj import (
     Halfspace,
     Hyperplane,
     Region,
+    certify,
     classify_region_halfspace_pair,
     kkt_check,
     oracle_project,
+    project,
     project_halfspace_pair,
     project_hyperplane_halfspace,
     project_hyperplanes,
 )
 from polyproj.atomic import project_halfspace
-from polyproj.instances import random_point, unit_vector
+from polyproj.instances import random_hyperplane_system, random_offset, random_point, unit_vector
 from polyproj.sets import membership_bound
 
 from helpers import (
@@ -26,6 +28,7 @@ from helpers import (
     li_halfspace_pair,
     plane_halfspace_ld,
     plane_halfspace_li,
+    point_in_region,
     region_counter,
 )
 
@@ -295,6 +298,22 @@ class TestDependentStepsMatchAtomic:
                     assert out.case == case
                     assert out.point.tobytes() == project_halfspace(active, x).tobytes()
 
+    def test_slab_point_equals_violated_halfspace_projection_bit_for_bit(self):
+        u = np.array([0.6, 0.8, 0.0])
+        w1, w2 = Halfspace(u, 0.7), Halfspace(-1.5 * u, 2.0)
+        rng = np.random.default_rng(72)
+        # 1e-14 outside the first boundary, then 1e-14 outside the second
+        points = [(0.7 + 1e-14) * u, (-2.0 / 1.5 - 1e-14) * u] + [
+            random_point(rng, 3, 4.0) for _ in range(40)
+        ]
+        for x in points:
+            active = w2 if float(np.dot(x, w2.u)) > w2.eta else w1
+            out = project_halfspace_pair(w1, w2, x)
+            assert out.case == "slab"
+            assert out.point.tobytes() == project_halfspace(active, x).tobytes()
+        for x in points[:2]:
+            assert project_halfspace_pair(w1, w2, x).coefficients.tolist() == [0.0, 0.0]
+
 
 class TestProjectHyperplaneHalfspace:
     def test_two_multiplier_branch(self):
@@ -419,3 +438,104 @@ class TestHyperplaneSystemVariational:
                 if z is None:
                     break
                 assert abs(np.dot(x - p, z - p)) <= 1e-9
+
+
+def _per_family_certificate(sets, x):
+    """Reference: each family's projector and its certificate glued by hand."""
+    halfspaces = [s for s in sets if isinstance(s, Halfspace)]
+    hyperplanes = [s for s in sets if isinstance(s, Hyperplane)]
+    if not halfspaces:
+        out = project_hyperplanes(hyperplanes, x)
+        return kkt_check(hyperplanes, x, out.point, [], out.coefficients)
+    if len(halfspaces) == 2:
+        w1, w2 = halfspaces
+        out = project_halfspace_pair(w1, w2, x)
+        if out.case == "merged_halfspace":
+            merged_eta = min(
+                w1.eta * float(np.linalg.norm(w2.u)), w2.eta * float(np.linalg.norm(w1.u))
+            )
+            merged = [Halfspace(out.normals[0], merged_eta)]
+            return kkt_check(merged, x, out.point, out.coefficients, [])
+        return kkt_check([w1, w2], x, out.point, out.coefficients, [])
+    h1, w2 = hyperplanes[0], halfspaces[0]
+    out = project_hyperplane_halfspace(h1, w2, x)
+    return kkt_check([h1, w2], x, out.point, [out.coefficients[1]], [out.coefficients[0]])
+
+
+def _family_instances(rng):
+    """(sets, x) covering every closed-form family, branch and file order."""
+    flavors = ("orthogonal", "negative", "positive")
+    for case in LD_PAIR_CASES:
+        for _ in range(10):
+            dim = int(rng.integers(2, 6))
+            yield list(ld_pair_case(rng, dim, case)), random_point(rng, dim, 4.0)
+    for flavor in flavors:
+        for region in (Region.INSIDE_BOTH, Region.C1, Region.C2, Region.C3):
+            for _ in range(5):
+                dim = int(rng.integers(2, 6))
+                w1, w2 = li_halfspace_pair(rng, dim, flavor)
+                x = point_in_region(rng, w1, w2, region)
+                if x is not None:
+                    yield [w1, w2], x
+    for _ in range(60):
+        dim = int(rng.integers(2, 6))
+        h1, w2 = plane_halfspace_li(rng, dim, flavors[int(rng.integers(3))])
+        x = random_point(rng, dim, 4.0)
+        yield [h1, w2], x
+        yield [w2, h1], x
+    for _ in range(10):
+        dim = int(rng.integers(2, 6))
+        x = random_point(rng, dim, 4.0)
+        yield list(plane_halfspace_ld(rng, dim, contained=True)), x
+        yield list(plane_halfspace_ld(rng, dim, whole_plane=True)), x
+        plane = Hyperplane(unit_vector(rng, dim), random_offset(rng))
+        yield [plane, Halfspace(np.zeros(dim), 1.0)], x
+    for _ in range(30):
+        dim = int(rng.integers(3, 7))
+        yield random_hyperplane_system(rng, dim, num_planes=4), random_point(rng, dim, 4.0)
+
+
+class TestProjectAndCertify:
+    def test_certificate_equals_per_family_glue(self):
+        rng = np.random.default_rng(81)
+        seen = set()
+        for sets, x in _family_instances(rng):
+            try:
+                ref = _per_family_certificate(sets, x)
+            except EmptySet:
+                with pytest.raises(EmptySet):
+                    project(sets, x)
+                continue
+            out = project(sets, x)
+            seen.add(out.case if out.region is None else out.region)
+            cert = certify(out, x)
+            assert cert.lam.tobytes() == ref.lam.tobytes()
+            assert cert.beta.tobytes() == ref.beta.tobytes()
+            for name in (
+                "stationarity_residual",
+                "feasibility_residual",
+                "complementarity_residual",
+                "tol",
+                "valid",
+            ):
+                assert getattr(cert, name) == getattr(ref, name)
+            assert cert.valid
+        assert seen == {
+            None,
+            "whole_space",
+            "first_set_only",
+            "second_set_only",
+            "merged_halfspace",
+            "slab",
+            "plane_inside_halfspace",
+            "plane_is_whole_space",
+            "halfspace_is_whole_space",
+            *Region,
+        }
+
+    def test_unsupported_families_raise(self):
+        w = [Halfspace(u, 1.0) for u in np.eye(3)]
+        h = [Hyperplane([1.0, 1.0, 0.0], 0.0), Hyperplane([0.0, 1.0, 1.0], 0.0)]
+        for sets in ([w[0]], w, h + [w[0]]):
+            with pytest.raises(ValueError, match="closed_form supports"):
+                project(sets, [1.0, 2.0, 3.0])
