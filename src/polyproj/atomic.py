@@ -14,18 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet
-from .linalg import as_vector
-from .sets import Halfspace, Hyperplane, LinearSet, membership_bound
+from .errors import EmptySet
+from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
 BOUNDARY_TOL = 1e-12
-
-
-def _checked_point(s: LinearSet, x) -> np.ndarray:
-    xv = as_vector(x)
-    if xv.shape[0] != s.dim:
-        raise DimensionMismatch(f"point has dim {xv.shape[0]}, set has dim {s.dim}")
-    return xv
 
 
 def project_hyperplane(plane: Hyperplane, x) -> np.ndarray:
@@ -34,22 +26,22 @@ def project_hyperplane(plane: Hyperplane, x) -> np.ndarray:
     A zero normal with zero offset is the whole space (identity); a zero
     normal with nonzero offset is the empty set and raises EmptySet.
     """
-    xv = _checked_point(plane, x)
-    if plane.has_zero_normal:
-        if plane.eta == 0.0:
-            return xv.copy()
+    xv = checked_point((plane,), x)
+    if is_empty(plane):
         raise EmptySet("hyperplane with zero normal and nonzero offset is empty")
+    if plane.has_zero_normal:
+        return xv.copy()
     u = plane.u
     step = (plane.eta - float(np.dot(xv, u))) / float(np.dot(u, u))
     return xv + step * u
 
 
 def halfspace_step(half: Halfspace, xv: np.ndarray) -> tuple[np.ndarray, float]:
-    """Step onto a halfspace with a nonzero normal; returns (point, multiplier >= 0).
+    """Step onto a nonempty halfspace; returns (point, multiplier >= 0).
 
     Points inside or within the boundary tolerance come back unchanged
-    with multiplier 0; points outside move along the normal onto the
-    boundary.
+    with multiplier 0, which covers every point when the normal is zero;
+    points outside move along the normal onto the boundary.
     """
     u = half.u
     value = float(np.dot(xv, u)) - half.eta
@@ -61,10 +53,8 @@ def halfspace_step(half: Halfspace, xv: np.ndarray) -> tuple[np.ndarray, float]:
 
 def project_halfspace(half: Halfspace, x) -> np.ndarray:
     """Nearest point of the halfspace: identity inside, boundary projection outside."""
-    xv = _checked_point(half, x)
-    if half.has_zero_normal:
-        if half.eta >= 0.0:
-            return xv.copy()
+    xv = checked_point((half,), x)
+    if is_empty(half):
         raise EmptySet("halfspace with zero normal and negative offset is empty")
     return halfspace_step(half, xv)[0]
 

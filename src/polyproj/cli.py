@@ -4,7 +4,10 @@ Exit codes: 0 on success, 2 when the requested intersection is empty,
 1 on malformed input or configuration.  Diagnostics go to stderr, data
 to stdout or the requested output files.  The environment variable
 ``POLYPROJ_TOL`` overrides the KKT tolerance that ``project`` certifies
-results with (the ``tol`` of the oracle and of ``certify``).
+results with (the ``tol`` of the oracle and of ``certify``); it is the
+only tolerance override.  ``experiment`` judges its rows by fixed
+thresholds: ``iterate.RATE_SLACK``, ``EXACTNESS_TOL``, the
+``contains`` default and ``DYKSTRA_MATCH_TOL``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +30,9 @@ from .instances import (
     random_offset,
     random_point,
 )
-from .iterate import dykstra, rate_gamma, write_csv
+from .iterate import RATE_SLACK, BehaviorTag, dykstra, rate_gamma, write_csv
 from .oracle import KKT_TOL, KktCertificate, oracle_project
-from .sets import (
-    MEMBERSHIP_TOL,
-    Halfspace,
-    contains,
-    Membership,
-    instance_to_dict,
-    load_instance,
-)
+from .sets import Halfspace, Membership, contains, instance_to_dict, load_instance
 from .atomic import project_onto
 
 
@@ -130,14 +126,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_DEFAULT_TOLERANCES = {
-    "membership": MEMBERSHIP_TOL,
-    "rate_slack": 1e-9,
-    "exactness": 1e-10,
-    "dykstra": 1e-6,
-}
+# largest deviation from the closed form that counts as an exact composition
+EXACTNESS_TOL = 1e-10
 
-_FILTERS = {"LinearRateBAM", "ExactComposition", "ExactBothOrders", "OneStepFeasible"}
+# largest deviation of a Dykstra run from the closed-form pair projection
+DYKSTRA_MATCH_TOL = 1e-6
+
+_FILTERS = {t.value for t in BehaviorTag}
 
 
 @dataclass
@@ -149,7 +144,6 @@ class ExperimentConfig:
     trials: int = 100
     case_filter: str | None = None
     k_max: int = 50
-    tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
 
     def __post_init__(self):
         if self.dim < 2:
@@ -160,21 +154,19 @@ class ExperimentConfig:
             raise ValueError("k_max must be at least 1")
         if self.case_filter is not None and self.case_filter not in _FILTERS:
             raise ValueError(f"unknown case_filter: {self.case_filter!r}")
-        merged = dict(_DEFAULT_TOLERANCES)
-        merged.update(self.tolerances)
-        self.tolerances = merged
 
 
 def _load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if "tolerances" in raw:
+        raise ValueError("config key 'tolerances' is not supported; experiment thresholds are fixed")
     return ExperimentConfig(
         seed=int(raw.get("seed", 0)),
         dim=int(raw.get("dim", 2)),
         trials=int(raw.get("trials", 100)),
         case_filter=raw.get("case_filter"),
         k_max=int(raw.get("k_max", 50)),
-        tolerances=raw.get("tolerances", {}),
     )
 
 
@@ -187,7 +179,6 @@ def _tally(counts, family, ok) -> None:
 def _experiment_rates(rng, config, rows, counts):
     dim = config.dim
     k_max = config.k_max
-    slack = config.tolerances["rate_slack"]
     for trial in range(config.trials):
         x = random_point(rng, dim)
         if trial % 2 == 0:
@@ -207,7 +198,7 @@ def _experiment_rates(rng, config, rows, counts):
             current = project_onto(second, project_onto(first, current))
             observed = float(np.linalg.norm(current - reference))
             bound = gamma**k * base
-            ok = observed <= bound + slack
+            ok = observed <= bound + RATE_SLACK
             all_ok = all_ok and ok
             rows.append([trial, gamma, k, observed, bound, ok])
         _tally(counts, family, all_ok)
@@ -220,8 +211,6 @@ def _one_exactness_row(first, second, x, reference):
 
 def _experiment_exactness(rng, config, rows, counts, include_exact, include_feasible):
     dim = config.dim
-    tol = config.tolerances["exactness"]
-    membership = config.tolerances["membership"]
     for trial in range(config.trials):
         x = random_point(rng, dim)
         subrows = []
@@ -234,7 +223,7 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
                 w1, w2 = halfspace_pair(rng, dim, flavor)
                 ref = project_halfspace_pair(w1, w2, x).point
                 dev = _one_exactness_row(w1, w2, x, ref)
-                subrows.append((label, dev, dev <= tol))
+                subrows.append((label, dev, dev <= EXACTNESS_TOL))
 
             for flavor, label in (
                 ("dependent_positive", "dependent_plane_halfspace"),
@@ -244,8 +233,8 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
                 ref = project_hyperplane_halfspace(h1, w2, x).point
                 dev_f = _one_exactness_row(h1, w2, x, ref)
                 dev_r = _one_exactness_row(w2, h1, x, ref)
-                subrows.append((label + "_fwd", dev_f, dev_f <= tol))
-                subrows.append((label + "_rev", dev_r, dev_r <= tol))
+                subrows.append((label + "_fwd", dev_f, dev_f <= EXACTNESS_TOL))
+                subrows.append((label + "_rev", dev_r, dev_r <= EXACTNESS_TOL))
         if include_feasible:
             w1, w2 = halfspace_pair(rng, dim, "positive")
             composed = project_onto(w2, project_onto(w1, x))
@@ -255,8 +244,8 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
                 0.0,
             )
             ok = (
-                contains(w1, composed, membership) is not Membership.OUTSIDE
-                and contains(w2, composed, membership) is not Membership.OUTSIDE
+                contains(w1, composed) is not Membership.OUTSIDE
+                and contains(w2, composed) is not Membership.OUTSIDE
             )
             subrows.append(("one_step_feasible", violation, ok))
         for family, dev, ok in subrows:
@@ -266,7 +255,6 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
 
 def _experiment_dykstra(rng, config, rows, counts):
     dim = config.dim
-    tol = config.tolerances["dykstra"]
     for trial in range(config.trials):
         while True:
             flavor = rng.choice(["negative", "positive", "orthogonal"])
@@ -281,7 +269,7 @@ def _experiment_dykstra(rng, config, rows, counts):
         reference = project_halfspace_pair(w1, w2, x).point
         trace = dykstra([w1, w2], x, max_sweeps=10_000, tol=1e-12)
         deviation = float(np.linalg.norm(trace.final - reference))
-        ok = deviation <= tol
+        ok = deviation <= DYKSTRA_MATCH_TOL
         rows.append([trial, len(trace.iterates) - 1, deviation, ok])
         _tally(counts, "dykstra_pair", ok)
 

@@ -28,10 +28,18 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import halfspace_step
-from .errors import DependentNormals, DimensionMismatch, EmptySet
+from .errors import DependentNormals, EmptySet
 from .linalg import DEPENDENCE_TOL, PairTag, as_vector, classify_pair, solve_gram
 from .oracle import KKT_TOL, KktCertificate, kkt_check
-from .sets import Halfspace, Hyperplane, LinearSet, reduce_hyperplane_system, Feasibility
+from .sets import (
+    Feasibility,
+    Halfspace,
+    Hyperplane,
+    LinearSet,
+    checked_point,
+    is_empty,
+    reduce_hyperplane_system,
+)
 
 ILL_CONDITIONED_GAMMA = 1.0 - 1e-6
 
@@ -86,13 +94,6 @@ class ProjectionBreakdown:
         return p
 
 
-def _checked(u1: np.ndarray, u2: np.ndarray, x) -> np.ndarray:
-    xv = as_vector(x)
-    if xv.shape[0] != u1.shape[0] or u1.shape[0] != u2.shape[0]:
-        raise DimensionMismatch("point and normals must share one dimension")
-    return xv
-
-
 def _pair_terms(s1_set, s2_set, xv):
     u1, u2 = s1_set.u, s2_set.u
     a1 = float(np.dot(xv, u1)) - s1_set.eta
@@ -122,7 +123,7 @@ def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
     the dependent dispatch inside :func:`project_halfspace_pair` covers
     that geometry instead.
     """
-    xv = _checked(w1.u, w2.u, x)
+    xv = checked_point((w1, w2), x)
     pc = classify_pair(w1.u, w2.u)
     if pc.linearly_dependent:
         raise DependentNormals("region labels require independent normals")
@@ -130,26 +131,22 @@ def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
 
 
 def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown:
+    if is_empty(w1) or is_empty(w2):
+        raise EmptySet("empty intersection")
     u1, u2 = w1.u, w2.u
     n1 = float(np.linalg.norm(u1))
     n2 = float(np.linalg.norm(u2))
 
     if n1 == 0.0 and n2 == 0.0:
-        if min(w1.eta, w2.eta) < 0.0:
-            raise EmptySet("empty intersection")
         return ProjectionBreakdown(
             xv.copy(), np.zeros(2), (w1, w2), case="whole_space"
         )
     if n2 == 0.0:
-        if w2.eta < 0.0:
-            raise EmptySet("empty intersection")
         point, t = halfspace_step(w1, xv)
         return ProjectionBreakdown(
             point, np.array([t, 0.0]), (w1, w2), case="first_set_only"
         )
     if n1 == 0.0:
-        if w1.eta < 0.0:
-            raise EmptySet("empty intersection")
         point, t = halfspace_step(w2, xv)
         return ProjectionBreakdown(
             point, np.array([0.0, t]), (w1, w2), case="second_set_only"
@@ -182,7 +179,7 @@ def project_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> ProjectionBreakdo
     solve the 2x2 normal system in closed form on C3.  Raises EmptySet
     when the intersection is empty.
     """
-    xv = _checked(w1.u, w2.u, x)
+    xv = checked_point((w1, w2), x)
     pc = classify_pair(w1.u, w2.u)
     if pc.linearly_dependent:
         return _dependent_pair(w1, w2, xv, pc)
@@ -216,28 +213,21 @@ def project_hyperplane_halfspace(h1: Hyperplane, w2: Halfspace, x) -> Projection
     otherwise.  With dependent normals the intersection is the plane,
     the halfspace, or empty.
     """
-    xv = _checked(h1.u, w2.u, x)
+    xv = checked_point((h1, w2), x)
     pc = classify_pair(h1.u, w2.u)
     u1, u2 = h1.u, w2.u
 
     if pc.linearly_dependent:
+        if is_empty(h1) or is_empty(w2):
+            raise EmptySet("empty intersection")
         n1 = float(np.linalg.norm(u1))
         n2 = float(np.linalg.norm(u2))
         if n1 == 0.0:
-            if h1.eta != 0.0:
-                raise EmptySet("empty intersection")
-            if n2 == 0.0 and w2.eta < 0.0:
-                raise EmptySet("empty intersection")
-            if n2 == 0.0:
-                point, t = xv.copy(), 0.0
-            else:
-                point, t = halfspace_step(w2, xv)
+            point, t = halfspace_step(w2, xv)
             return ProjectionBreakdown(
                 point, np.array([0.0, t]), (h1, w2), case="plane_is_whole_space"
             )
         if n2 == 0.0:
-            if w2.eta < 0.0:
-                raise EmptySet("empty intersection")
             xi1 = (float(np.dot(xv, u1)) - h1.eta) / (n1 * n1)
             return ProjectionBreakdown(
                 xv - xi1 * u1,
@@ -293,10 +283,7 @@ def project_hyperplanes(
     """
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
-    xv = as_vector(x)
-    for p in planes:
-        if p.dim != xv.shape[0]:
-            raise DimensionMismatch("point and planes must share one dimension")
+    xv = checked_point(planes, x)
     reduced = reduce_hyperplane_system(planes, tol)
     if reduced.status is Feasibility.INFEASIBLE:
         raise EmptySet("empty intersection")

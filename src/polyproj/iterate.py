@@ -125,28 +125,6 @@ def compose_iterate(
     return IterationTrace(iterates, errors, stop)
 
 
-@dataclass
-class DykstraState:
-    """Current iterate plus one pending correction per constraint set."""
-
-    x: np.ndarray
-    corrections: list[np.ndarray]
-    k: int = 0
-
-    @classmethod
-    def initial(cls, x: np.ndarray, num_sets: int) -> "DykstraState":
-        return cls(x.copy(), [np.zeros_like(x) for _ in range(num_sets)], 0)
-
-    def sweep(self, sets: Sequence[LinearSet]) -> None:
-        """One full cycle: re-add each set's correction, project, update it."""
-        for i, s in enumerate(sets):
-            shifted = self.x + self.corrections[i]
-            projected = project_onto(s, shifted)
-            self.corrections[i] = shifted - projected
-            self.x = projected
-            self.k += 1
-
-
 def dykstra(
     sets: Sequence[LinearSet],
     x,
@@ -170,14 +148,19 @@ def dykstra(
             raise EmptySet("a constraint set is empty")
     x0 = as_vector(x)
     ref = None if reference is None else as_vector(reference)
-    state = DykstraState.initial(x0, len(sets))
+    current = x0.copy()
+    corrections = [np.zeros_like(x0) for _ in sets]
     iterates = [x0.copy()]
     stop = StopReason.MAX_ITERATIONS
     for _ in range(max_sweeps):
-        previous = state.x
-        state.sweep(sets)
-        iterates.append(state.x.copy())
-        if float(np.linalg.norm(state.x - previous)) <= tol:
+        previous = current
+        # one full cycle: re-add each set's correction, project, update it
+        for i, s in enumerate(sets):
+            shifted = current + corrections[i]
+            current = project_onto(s, shifted)
+            corrections[i] = shifted - current
+        iterates.append(current.copy())
+        if float(np.linalg.norm(current - previous)) <= tol:
             stop = StopReason.CONVERGED
             break
     errors = None

@@ -33,6 +33,7 @@ from .sets import (
     Halfspace,
     Hyperplane,
     LinearSet,
+    checked_point,
     is_empty,
     reduce_hyperplane_system,
 )
@@ -83,11 +84,11 @@ def kkt_check(
     Feasibility: worst constraint violation at p.
     Complementarity: max_i |lam_i * (<p,u_i> - eta_i)| over halfspaces.
     """
-    xv = as_vector(x)
+    eq, ineq = _split(sets)
+    xv = checked_point(sets, x)
     pv = as_vector(p)
     if xv.shape != pv.shape:
         raise DimensionMismatch("x and p must share one dimension")
-    eq, ineq = _split(sets)
     lam_arr = np.asarray(lam, dtype=float)
     beta_arr = np.asarray(beta, dtype=float)
     if lam_arr.shape != (len(ineq),):
@@ -98,9 +99,6 @@ def kkt_check(
         raise DimensionMismatch(
             f"expected {len(eq)} equality multipliers, got {beta_arr.shape}"
         )
-    for _, s in eq + ineq:
-        if s.dim != xv.shape[0]:
-            raise DimensionMismatch("sets and point must share one dimension")
 
     grad = pv - xv
     for mult, (_, s) in zip(lam_arr, ineq):
@@ -161,12 +159,9 @@ def oracle_project(
     EmptySet when no subset yields a feasible point, which for affine
     constraints certifies an empty intersection.
     """
-    xv = as_vector(x)
-    for s in sets:
-        if s.dim != xv.shape[0]:
-            raise DimensionMismatch("sets and point must share one dimension")
-        if is_empty(s):
-            raise EmptySet("empty intersection")
+    xv = checked_point(sets, x)
+    if any(is_empty(s) for s in sets):
+        raise EmptySet("empty intersection")
     eq, ineq = _split(sets)
     m = len(ineq)
     if m > MAX_INEQUALITIES:

@@ -99,15 +99,22 @@ def membership_bound(s: LinearSet, x: np.ndarray, tol: float) -> float:
     return tol * (1.0 + abs(s.eta) + float(np.linalg.norm(s.u)) * float(np.linalg.norm(x)))
 
 
+def checked_point(sets: Sequence[LinearSet], x) -> np.ndarray:
+    """``x`` as a coordinate array; DimensionMismatch unless every set has its dimension."""
+    xv = as_vector(x)
+    for s in sets:
+        if s.dim != xv.shape[0]:
+            raise DimensionMismatch(f"point has dim {xv.shape[0]}, set has dim {s.dim}")
+    return xv
+
+
 def contains(s: LinearSet, x, tol: float = MEMBERSHIP_TOL) -> Membership:
     """Tolerance-based membership test.
 
     Halfspaces report Inside / Boundary / Outside; hyperplanes report
     OnPlane / Off.
     """
-    xv = as_vector(x)
-    if xv.shape[0] != s.dim:
-        raise DimensionMismatch(f"point has dim {xv.shape[0]}, set has dim {s.dim}")
+    xv = checked_point((s,), x)
     value = float(np.dot(xv, s.u)) - s.eta
     bound = membership_bound(s, xv, tol)
     if isinstance(s, Hyperplane):
@@ -115,12 +122,6 @@ def contains(s: LinearSet, x, tol: float = MEMBERSHIP_TOL) -> Membership:
     if abs(value) <= bound:
         return Membership.BOUNDARY
     return Membership.INSIDE if value < 0 else Membership.OUTSIDE
-
-
-def in_set(s: LinearSet, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Convenience predicate: membership up to the boundary tolerance."""
-    flag = contains(s, x, tol)
-    return flag not in (Membership.OUTSIDE, Membership.OFF)
 
 
 class Feasibility(enum.Enum):

@@ -293,3 +293,12 @@ class TestExperiment:
         code, _, err = run(["experiment", "--config", path, "--out", str(tmp_path / "x")], capsys)
         assert code == 1
         assert "case_filter" in err
+
+    def test_tolerances_key_rejected(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, tolerances={"exactness": 1e-3})
+        out_dir = tmp_path / "x"
+        code, out, err = run(["experiment", "--config", path, "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "tolerances" in err
+        assert not out_dir.exists()

@@ -9,6 +9,7 @@ from polyproj import (
     Region,
     certify,
     classify_region_halfspace_pair,
+    is_empty,
     kkt_check,
     oracle_project,
     project,
@@ -126,6 +127,23 @@ class TestClassifyRegion:
         assert all(c > 0 for c in counts.values())
 
 
+def _assert_empty_exactly_when_a_member_is(projector, first_kind):
+    """EmptySet exactly when a member is empty, over zero-normal pairs and signed offsets."""
+    zero, u = np.zeros(2), np.array([0.6, 0.8])
+    offsets = (-1.0, -0.0, 0.0, 1.0)
+    points = [np.array([2.0, -1.0]), np.array([-3.0, 0.5]), np.zeros(2)]
+    for n1, n2 in ((zero, u), (u, zero), (zero, zero)):
+        for e1 in offsets:
+            for e2 in offsets:
+                s1, s2 = first_kind(n1, e1), Halfspace(n2, e2)
+                for x in points:
+                    if is_empty(s1) or is_empty(s2):
+                        with pytest.raises(EmptySet):
+                            projector(s1, s2, x)
+                    else:
+                        assert certify(projector(s1, s2, x), x).valid
+
+
 class TestProjectHalfspacePair:
     def test_orthant_clamp(self):
         out = project_halfspace_pair(Halfspace([1, 0], 0.0), Halfspace([0, 1], 0.0), [2, 3])
@@ -164,6 +182,9 @@ class TestProjectHalfspacePair:
     def test_empty_slab_raises(self):
         with pytest.raises(EmptySet, match="empty intersection"):
             project_halfspace_pair(Halfspace([1, 0], -2.0), Halfspace([-1, 0], -2.0), [0, 0])
+
+    def test_zero_normal_member_empty_exactly_when_a_member_is(self):
+        _assert_empty_exactly_when_a_member_is(project_halfspace_pair, Halfspace)
 
     def test_all_dependent_cases(self):
         rng = np.random.default_rng(33)
@@ -349,6 +370,13 @@ class TestProjectHyperplaneHalfspace:
         assert out.case == "plane_is_whole_space"
         with pytest.raises(EmptySet):
             project_hyperplane_halfspace(Hyperplane([0, 0], 2.0), w2, [3, 0])
+        # both normals zero
+        with pytest.raises(EmptySet):
+            project_hyperplane_halfspace(h1, Halfspace([0, 0], -1.0), [3, 0])
+        out = project_hyperplane_halfspace(h1, Halfspace([0, 0], 0.0), [3, -4])
+        assert out.case == "plane_is_whole_space"
+        assert out.point.tolist() == [3.0, -4.0]
+        assert out.coefficients.tolist() == [0.0, 0.0]
 
     def test_whole_space_halfspace_delegates(self):
         h1 = Hyperplane([1, 0], 1.0)
@@ -357,6 +385,9 @@ class TestProjectHyperplaneHalfspace:
         assert out.case == "halfspace_is_whole_space"
         with pytest.raises(EmptySet):
             project_hyperplane_halfspace(h1, Halfspace([0, 0], -2.0), [3, 4])
+
+    def test_zero_normal_member_empty_exactly_when_a_member_is(self):
+        _assert_empty_exactly_when_a_member_is(project_hyperplane_halfspace, Hyperplane)
 
     def test_result_on_plane_and_in_halfspace(self):
         rng = np.random.default_rng(37)

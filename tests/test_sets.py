@@ -7,15 +7,24 @@ from polyproj import (
     Halfspace,
     Hyperplane,
     Membership,
+    classify_region_halfspace_pair,
     contains,
     instance_from_dict,
     instance_to_dict,
     is_empty,
     is_whole_space,
+    kkt_check,
+    oracle_project,
+    project,
+    project_halfspace,
+    project_halfspace_pair,
+    project_hyperplane,
+    project_hyperplane_halfspace,
     project_hyperplanes,
     reduce_hyperplane_system,
 )
 from polyproj.instances import random_hyperplane_system
+from polyproj.sets import checked_point
 
 
 class TestContains:
@@ -42,6 +51,48 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             contains(Halfspace([1, 0], 1.0), [1, 2, 3])
+
+
+_H, _W = Hyperplane([1, 0], 1.0), Halfspace([0, 1], 0.0)
+_W_OTHER, _W3 = Halfspace([1, 0], 2.0), Halfspace([0, 0, 1], 0.0)
+_X2, _X3 = [1.0, 2.0], [1.0, 2.0, 3.0]
+
+# every public entry that takes (sets, x), fed a point or a set of another dimension
+_WRONG_DIMENSION_CALLS = {
+    "project_hyperplane": lambda: project_hyperplane(_H, _X3),
+    "project_halfspace": lambda: project_halfspace(_W, _X3),
+    "project_halfspace_pair-point": lambda: project_halfspace_pair(_W, _W_OTHER, _X3),
+    "project_halfspace_pair-normals": lambda: project_halfspace_pair(_W, _W3, _X2),
+    "classify_region_halfspace_pair": lambda: classify_region_halfspace_pair(_W, _W_OTHER, _X3),
+    "project_hyperplane_halfspace": lambda: project_hyperplane_halfspace(_H, _W, _X3),
+    "project_hyperplane_halfspace-normals": lambda: project_hyperplane_halfspace(_H, _W3, _X2),
+    "project_hyperplanes": lambda: project_hyperplanes([_H, Hyperplane([0, 1], 0.0)], _X3),
+    "project": lambda: project([_H, _W], _X3),
+    "kkt_check-set": lambda: kkt_check([_H, _W3], _X2, _X2, [0.0], [0.0]),
+    "kkt_check-p": lambda: kkt_check([_H, _W], _X2, _X3, [0.0], [0.0]),
+    "kkt_check-p-no-sets": lambda: kkt_check([], _X2, _X3, [], []),
+    "oracle_project": lambda: oracle_project([_H, _W], _X3),
+    "oracle_project-set": lambda: oracle_project([_H, _W3], _X2),
+}
+
+
+class TestPointDimension:
+    def test_checked_point_returns_coordinates(self):
+        xv = checked_point([Hyperplane([1, 0], 1.0), Halfspace([0, 1], 0.0)], [1, 2])
+        assert xv.dtype == float
+        assert xv.tolist() == [1.0, 2.0]
+        assert checked_point([], [1, 2, 3]).tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            checked_point([], [1.0, float("nan")])
+
+    @pytest.mark.parametrize("name", sorted(_WRONG_DIMENSION_CALLS))
+    def test_every_sets_and_point_entry_rejects_another_dimension(self, name):
+        with pytest.raises(DimensionMismatch):
+            _WRONG_DIMENSION_CALLS[name]()
+
+    def test_kkt_check_rejects_non_sets_first(self):
+        with pytest.raises(TypeError):
+            kkt_check([Hyperplane([1, 0], 1.0), "plane"], [1.0, 2.0], [1.0, 2.0], [], [0.0])
 
 
 class TestDegenerateClassification:
