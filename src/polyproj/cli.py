@@ -159,6 +159,8 @@ class ExperimentConfig:
 def _load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     if "tolerances" in raw:
         raise ValueError("config key 'tolerances' is not supported; experiment thresholds are fixed")
     return ExperimentConfig(

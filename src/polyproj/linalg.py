@@ -15,6 +15,7 @@ the oracle accept an override; the pair projectors use the default.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,7 +33,7 @@ def as_vector(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty one-dimensional coordinate array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("coordinates must be finite")
     return arr
 
@@ -137,6 +138,12 @@ def classify_pair(u1, u2, tol: float = DEPENDENCE_TOL) -> PairClass:
     return PairClass(tag, gamma)
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Symmetrized ``a @ aᵀ`` of one block (r, d) or of a stack of blocks (n, r, d)."""
+    g = a @ np.swapaxes(a, -1, -2)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
 def gram_matrix(vectors: Sequence) -> np.ndarray:
     """Matrix of pairwise inner products <a_i, a_j>.
 
@@ -145,17 +152,44 @@ def gram_matrix(vectors: Sequence) -> np.ndarray:
     """
     if len(vectors) == 0:
         return np.zeros((0, 0))
-    a = _as_block(vectors)
-    g = a @ a.T
-    return 0.5 * (g + g.T)
+    return _gram(_as_block(vectors))
+
+
+def solve_gram_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the Gram systems G(a[i]) beta[i] = b[i] of a stack of generator blocks.
+
+    ``a`` has shape (n, r, d) and ``b`` shape (n, r), r >= 1.  Returns
+    ``beta`` (n, r) and a boolean mask ``ok`` (n,).  Each system is
+    solved by Cholesky; an item whose Gram matrix does not factor, or
+    whose residual exceeds ``SOLVE_RESIDUAL_TOL * (1 + |b[i]|)``, has
+    numerically dependent generators and gets ``ok`` False.  The stacked
+    LAPACK calls give each item the bits a stack of one gives it, so
+    stacking changes no result.
+    """
+    g = _gram(a)
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan), np.zeros(1, dtype=bool)
+        # some item does not factor: solve the items one by one to find which
+        parts = [solve_gram_stack(a[i : i + 1], b[i : i + 1]) for i in range(len(a))]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    # b[..., None] reads b as a stack of columns under every numpy >= 1.24
+    y = np.linalg.solve(chol, b[..., None])
+    beta = np.linalg.solve(np.swapaxes(chol, -1, -2), y)
+    residual = (g @ beta)[..., 0] - b
+    ok = np.sqrt((residual * residual).sum(-1)) <= SOLVE_RESIDUAL_TOL * (
+        1.0 + np.sqrt((b * b).sum(-1))
+    )
+    return beta[..., 0], ok
 
 
 def solve_gram(generators: Sequence, rhs) -> np.ndarray:
     """Solve G(a_1..a_m) beta = rhs for linearly independent generators.
 
-    Uses a Cholesky factorization; failure to factor, or a residual
-    above ``SOLVE_RESIDUAL_TOL * (1 + |rhs|)``, signals dependence and
-    raises SingularGram.
+    :func:`solve_gram_stack` on a stack of one; dependent generators
+    raise SingularGram.
     """
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1 or b.shape[0] != len(generators):
@@ -164,20 +198,37 @@ def solve_gram(generators: Sequence, rhs) -> np.ndarray:
         )
     if len(generators) == 0:
         return np.zeros(0)
-    g = gram_matrix(generators)
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram("Gram matrix is not positive definite") from exc
-    y = np.linalg.solve(chol, b)
-    beta = np.linalg.solve(chol.T, y)
-    residual = float(np.linalg.norm(g @ beta - b))
-    if residual > SOLVE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(b))):
-        raise SingularGram(
-            f"Gram solve residual {residual:.3e} exceeds tolerance; "
-            "generators are numerically dependent"
-        )
-    return beta
+    beta, ok = solve_gram_stack(_as_block(generators)[None], b[None])
+    if not ok[0]:
+        raise SingularGram("Gram matrix is singular; generators are numerically dependent")
+    return beta[0]
+
+
+def extend_basis(q: np.ndarray, v: np.ndarray, tol: float = DEPENDENCE_TOL) -> np.ndarray | None:
+    """Unit residual of ``v`` against the orthonormal rows of ``q``, or None.
+
+    ``v`` counts as dependent on the rows, and None is returned, when its
+    residual is at most ``tol`` times its own norm.  The residual is
+    ``v - (q v)ᵀ q``, taken twice (classical Gram-Schmidt with
+    reorthogonalization).
+    """
+    r = v
+    if len(q):
+        r = v - (q @ v) @ q
+        r = r - (q @ r) @ q
+    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
+    rnorm = math.sqrt(r.dot(r))
+    if rnorm <= tol * math.sqrt(v.dot(v)):
+        return None
+    return r / rnorm
+
+
+def expansion_coefficients(basis: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of ``v`` over the vectors ``basis``, in their order."""
+    if len(basis) == 0:
+        return np.zeros(0)
+    coeff, *_ = np.linalg.lstsq(np.stack(basis, axis=1), v, rcond=None)
+    return coeff
 
 
 @dataclass(frozen=True)
@@ -186,8 +237,9 @@ class IndependentSubset:
 
     ``indices`` are positions of the retained vectors, in input order.
     ``coefficients`` maps each excluded position to its expansion over
-    the retained vectors (aligned with ``indices``); zero vectors get
-    all-zero coefficients.
+    the retained vectors (aligned with ``indices``): the least-squares
+    expansion over the vectors retained before it, and zero on those
+    retained after it.  Zero vectors get all-zero coefficients.
     """
 
     indices: tuple[int, ...]
@@ -197,41 +249,21 @@ class IndependentSubset:
 def max_independent_subset(vectors: Sequence, tol: float = DEPENDENCE_TOL) -> IndependentSubset:
     """Greedily select a maximal linearly independent subfamily.
 
-    Scans in input order (first vector wins ties).  A candidate is
-    excluded when its residual against the span of the retained vectors
-    is at most ``tol`` times its own norm.
+    Scans in input order (first vector wins ties), extending an
+    orthonormal basis of the retained vectors with :func:`extend_basis`.
     """
     vecs = _as_block(vectors)
-
+    basis = np.empty_like(vecs)
     indices: list[int] = []
-    ortho: list[np.ndarray] = []
-    excluded: list[int] = []
-
+    prefix: dict[int, np.ndarray] = {}
     for i, v in enumerate(vecs):
-        nv = float(np.linalg.norm(v))
-        resid = v.copy()
-        for q in ortho:
-            resid -= np.dot(resid, q) * q
-        # second orthogonalization pass for numerical safety
-        for q in ortho:
-            resid -= np.dot(resid, q) * q
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm <= tol * nv:
-            excluded.append(i)
+        unit = extend_basis(basis[: len(indices)], v, tol)
+        if unit is None:
+            prefix[i] = expansion_coefficients([vecs[j] for j in indices], v)
         else:
+            basis[len(indices)] = unit
             indices.append(i)
-            ortho.append(resid / rnorm)
-
-    # expansion coefficients refer to the full retained family; entries on
-    # vectors retained after an exclusion are zero up to rounding
-    coefficients: dict[int, np.ndarray] = {}
-    if indices and excluded:
-        basis = np.stack([vecs[j] for j in indices], axis=1)
-        for i in excluded:
-            coeff, *_ = np.linalg.lstsq(basis, vecs[i], rcond=None)
-            coefficients[i] = coeff
-    else:
-        for i in excluded:
-            coefficients[i] = np.zeros(0)
-
+    coefficients = {
+        i: np.concatenate([c, np.zeros(len(indices) - len(c))]) for i, c in prefix.items()
+    }
     return IndependentSubset(tuple(indices), coefficients)

@@ -13,6 +13,17 @@ reduction are a visited subset, reduced to the same rows.  The
 enumeration is exponential by design; it exists to check the
 closed-form projectors, not to replace them.
 
+The subsets are walked depth first in lexicographic order.  The
+hyperplanes are scanned once; each child then extends its parent's
+orthonormal basis of kept rows by one boundary (``linalg.extend_basis``),
+so no prefix is scanned twice.  A dependent boundary is dropped when
+``sets.offset_consistent`` accepts it, the rule
+``reduce_hyperplane_system`` applies, and otherwise ends its branch,
+since every superset keeps the contradiction.  The Gram systems of the
+visited subsets are solved in stacks of at most ``GRAM_STACK``, grouped by
+how many rows they keep (``linalg.solve_gram_stack``); the results are
+bit for bit those of reducing and solving each subset on its own.
+
 :func:`kkt_check` evaluates the first-order optimality residuals of a
 proposed projection: stationarity of the quadratic objective, primal
 feasibility, dual nonnegativity, and complementary slackness.
@@ -21,24 +32,31 @@ feasibility, dual nonnegativity, and complementary slackness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet, SingularGram, TooManyConstraints
-from .linalg import DEPENDENCE_TOL, as_vector, max_independent_subset, solve_gram
+from .errors import DimensionMismatch, EmptySet, TooManyConstraints
+from .linalg import (
+    DEPENDENCE_TOL,
+    as_vector,
+    expansion_coefficients,
+    extend_basis,
+    solve_gram_stack,
+)
 from .sets import (
-    Feasibility,
     Halfspace,
     Hyperplane,
     LinearSet,
     checked_point,
     is_empty,
-    reduce_hyperplane_system,
+    offset_consistent,
 )
 
 MAX_INEQUALITIES = 20
+
+# most Gram systems solved in one stacked call; bounds the stack's memory
+GRAM_STACK = 256
 
 KKT_TOL = 1e-9
 
@@ -171,49 +189,91 @@ def oracle_project(
 
     ne = len(eq)
     rows = [s for _, s in eq] + [s.boundary() for _, s in ineq]
+    normals = np.array([s.u for s in rows]).reshape(len(rows), xv.shape[0])
     offsets = np.array([s.eta for s in rows])
+    rhs = np.array([float(np.dot(xv, s.u)) for s in rows]) - offsets
     slack_base = 1.0 + np.abs(offsets)
     normal_norms = np.array([float(np.linalg.norm(s.u)) for s in rows])
-    rank_e = len(max_independent_subset([s.u for _, s in eq], dependence_tol).indices) if eq else 0
+    basis = np.empty_like(normals)
+
+    def add_row(kept: tuple[int, ...], row: int) -> tuple[int, ...] | None:
+        """``kept`` extended by ``row`` if it is independent of them (its unit
+        residual goes to ``basis[len(kept)]``), unchanged if it is a
+        consistent dependent row, None if it contradicts them."""
+        unit = extend_basis(basis[: len(kept)], normals[row], dependence_tol)
+        if unit is not None:
+            basis[len(kept)] = unit
+            return kept + (row,)
+        retained = [rows[j] for j in kept]
+        coeff = expansion_coefficients([s.u for s in retained], normals[row])
+        return kept if offset_consistent(rows[row], coeff, retained, dependence_tol) else None
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    for k in range(min(m, xv.shape[0] - rank_e) + 1):
-        for active in combinations(range(m), k):
-            planes = rows[:ne] + [rows[ne + i] for i in active]
-            multipliers = np.zeros(len(planes))
-            point = xv.copy()
-            if planes:
-                reduced = reduce_hyperplane_system(planes, dependence_tol)
-                if reduced.status is Feasibility.INFEASIBLE:
-                    continue
-                if reduced.retained:
-                    rhs = [float(np.dot(xv, pl.u)) - pl.eta for pl in reduced.retained]
-                    try:
-                        beta = solve_gram([pl.u for pl in reduced.retained], rhs)
-                    except SingularGram:
-                        continue
-                    for b, pl in zip(beta, reduced.retained):
-                        point -= b * pl.u
-                    multipliers[list(reduced.retained_indices)] = beta
-
-            lam_active = multipliers[ne:]
-            if np.any(lam_active < -tol):
-                continue
-
-            # membership_bound's arithmetic for all rows at once; per-row
-            # np.dot, since a matrix product rounds differently
-            gaps = np.array([np.dot(point, s.u) for s in rows]) - offsets
-            gaps[:ne] = np.abs(gaps[:ne])
-            bounds = tol * (slack_base + normal_norms * float(np.linalg.norm(point)))
-            if np.any(gaps > bounds):
-                continue
-
+    def consider(active: tuple[int, ...], kept: np.ndarray, beta: np.ndarray) -> None:
+        nonlocal best
+        point = xv.copy()
+        for b, row in zip(beta, kept):
+            point -= b * normals[row]
+        # membership_bound's arithmetic for all rows at once; per-row
+        # np.dot, since a matrix product rounds differently
+        gaps = np.array([np.dot(point, s.u) for s in rows]) - offsets
+        gaps[:ne] = np.abs(gaps[:ne])
+        bounds = tol * (slack_base + normal_norms * float(np.linalg.norm(point)))
+        if (gaps > bounds).any():
+            return
+        dist = float(np.linalg.norm(point - xv))
+        if best is None or (dist, active) < best[:2]:
+            is_eq = kept < ne
             lam_full = np.zeros(m)
-            lam_full[list(active)] = np.maximum(lam_active, 0.0)
-            dist = float(np.linalg.norm(point - xv))
-            if best is None or (dist, active) < best[:2]:
-                best = (dist, active, point, lam_full, multipliers[:ne])
+            lam_full[kept[~is_eq] - ne] = np.maximum(beta[~is_eq], 0.0)
+            beta_full = np.zeros(ne)
+            beta_full[kept[is_eq]] = beta[is_eq]
+            best = (dist, active, point, lam_full, beta_full)
+
+    # visited active sets, grouped by how many rows they keep
+    stacks: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+
+    def solve_stack(r: int) -> None:
+        group = stacks.pop(r)
+        kept = np.array([k for _, k in group])
+        beta, ok = solve_gram_stack(normals[kept], rhs[kept])
+        ok &= ~((beta < -tol) & (kept >= ne)).any(axis=1)
+        for i in np.flatnonzero(ok):
+            consider(group[i][0], kept[i], beta[i])
+
+    def visit(active: tuple[int, ...], kept: tuple[int, ...]) -> None:
+        stack = stacks.setdefault(len(kept), [])
+        stack.append((active, kept))
+        if len(stack) == GRAM_STACK:
+            solve_stack(len(kept))
+
+    def walk(active: tuple[int, ...], kept: tuple[int, ...], depth_left: int) -> None:
+        for i in range(active[-1] + 1 if active else 0, m):
+            child_kept = add_row(kept, ne + i)
+            if child_kept is None:
+                continue  # every superset keeps this contradiction
+            child = active + (i,)
+            # a dependent row keeps the parent's rows: same candidate, larger key
+            if len(child_kept) > len(kept):
+                visit(child, child_kept)
+            if depth_left > 1:
+                walk(child, child_kept, depth_left - 1)
+
+    kept_eq: tuple[int, ...] | None = ()
+    for row in range(ne):
+        kept_eq = add_row(kept_eq, row)
+        if kept_eq is None:
+            raise EmptySet("empty intersection")
+    if kept_eq:
+        visit((), kept_eq)
+    else:
+        consider((), np.zeros(0, dtype=int), np.zeros(0))
+    depth = min(m, xv.shape[0] - len(kept_eq))
+    if depth > 0:
+        walk((), kept_eq, depth)
+    for r in sorted(stacks):
+        solve_stack(r)
 
     if best is None:
         raise EmptySet("empty intersection")

@@ -3,7 +3,9 @@
 A hyperplane is {x : <x,u> = eta}; a halfspace is {x : <x,u> <= eta}.
 Zero normals are legal and classified rather than rejected: the set is
 then the whole space or empty depending on the offset, and callers can
-query that through :func:`is_whole_space` / :func:`is_empty`.
+query that through :func:`is_whole_space` / :func:`is_empty`.  A
+nonzero normal whose squared norm underflows to zero is rejected with
+ZeroNormal, so "zero normal" means the same to every projector.
 
 Membership is tolerance-based.  A point sits on the boundary when
 
@@ -16,12 +18,13 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ZeroNormal
 from .linalg import DEPENDENCE_TOL, as_vector, max_independent_subset
 
 MEMBERSHIP_TOL = 1e-9
@@ -33,12 +36,13 @@ class _LinearSet:
     eta: float
 
     def __post_init__(self):
-        u = as_vector(self.u)
-        u = u.copy()
+        u = as_vector(self.u).copy()
+        if float(u.dot(u)) == 0.0 and u.any():
+            raise ZeroNormal("normal is nonzero but its squared norm underflows to zero")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
         eta = float(self.eta)
-        if not np.isfinite(eta):
+        if not math.isfinite(eta):
             raise ValueError("offset must be finite")
         object.__setattr__(self, "eta", eta)
 
@@ -143,32 +147,41 @@ class ReducedHyperplaneSystem:
     retained_indices: tuple[int, ...]
 
 
+def offset_consistent(
+    plane: Hyperplane, coefficients, retained: Sequence[Hyperplane], tol: float = DEPENDENCE_TOL
+) -> bool:
+    """Whether a plane whose normal is dependent on ``retained`` agrees with them.
+
+    Its normal is sum_j c_j u_j over the retained planes, with
+    ``coefficients`` c aligned with ``retained``; it is consistent only
+    if its offset matches sum_j c_j eta_j within ``tol * (1 + |eta|)``.
+    A zero-normal plane is consistent only if its offset is exactly zero
+    (it is the empty set otherwise).
+    """
+    if plane.has_zero_normal:
+        return plane.eta == 0.0
+    implied = float(sum(c * p.eta for c, p in zip(coefficients, retained)))
+    return not abs(plane.eta - implied) > tol * (1.0 + abs(plane.eta))
+
+
 def reduce_hyperplane_system(
     planes: Sequence[Hyperplane], tol: float = DEPENDENCE_TOL
 ) -> ReducedHyperplaneSystem:
     """Prune dependent planes and detect offset contradictions.
 
-    Normals are scanned greedily in input order.  An excluded plane with
-    normal sum_j c_j u_j is consistent only if its offset matches
-    sum_j c_j eta_j within ``tol * (1 + |eta|)``; a zero-normal plane is
-    consistent only if its offset is exactly zero (it is the empty set
-    otherwise).  Infeasibility is reported as data, never raised.
+    Normals are scanned greedily in input order; every excluded plane
+    must pass :func:`offset_consistent` against the retained ones.
+    Infeasibility is reported as data, never raised.
     """
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
     subset = max_independent_subset([p.u for p in planes], tol)
     retained = tuple(planes[i] for i in subset.indices)
-    status = Feasibility.FEASIBLE
-    for i, coeff in subset.coefficients.items():
-        if planes[i].has_zero_normal:
-            if planes[i].eta != 0.0:
-                status = Feasibility.INFEASIBLE
-            continue
-        implied = float(
-            sum(c * planes[j].eta for c, j in zip(coeff, subset.indices))
-        )
-        if abs(planes[i].eta - implied) > tol * (1.0 + abs(planes[i].eta)):
-            status = Feasibility.INFEASIBLE
+    consistent = all(
+        offset_consistent(planes[i], coeff, retained, tol)
+        for i, coeff in subset.coefficients.items()
+    )
+    status = Feasibility.FEASIBLE if consistent else Feasibility.INFEASIBLE
     return ReducedHyperplaneSystem(retained, status, subset.indices)
 
 

@@ -93,6 +93,25 @@ class TestProject:
         assert result["multipliers"] == [2.0, 3.0]
         assert result["certificate"]["valid"] is True
 
+    def test_underflowing_normal_rejected(self, tmp_path, capsys):
+        # |u|^2 of a nonzero u underflows to 0: a typed input error, exit 1
+        path = self._write_instance(
+            tmp_path,
+            {
+                "dim": 2,
+                "sets": [
+                    {"kind": "halfspace", "u": [1e-200, 0.0], "eta": -1.0},
+                    {"kind": "halfspace", "u": [0.0, 1.0], "eta": 0.0},
+                ],
+                "points": [[0.0, 1.0]],
+            },
+        )
+        for method in ("closed_form", "oracle", "dykstra"):
+            code, out, err = run(["project", "--instance", path, "--method", method], capsys)
+            assert code == 1
+            assert out == ""
+            assert "underflows" in err
+
     def test_round_trip_generated_instances(self, tmp_path, capsys):
         for seed, kind in [(3, "pair_halfspace"), (4, "hyperplane_halfspace"), (5, "hyperplane_system")]:
             out_file = tmp_path / f"{kind}.json"
@@ -301,4 +320,15 @@ class TestExperiment:
         assert code == 1
         assert out == ""
         assert "tolerances" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("content", ["[]", "3", '"seed"', "null"])
+    def test_non_object_config_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        out_dir = tmp_path / "x"
+        code, out, err = run(["experiment", "--config", str(path), "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "JSON object" in err
         assert not out_dir.exists()

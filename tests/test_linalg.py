@@ -15,6 +15,7 @@ from polyproj import (
     max_independent_subset,
     solve_gram,
 )
+from polyproj.linalg import solve_gram_stack
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0).map(
     lambda v: 0.0 if abs(v) < 1e-6 else v
@@ -126,6 +127,32 @@ class TestSolveGram:
     def test_rhs_length_checked(self):
         with pytest.raises(DimensionMismatch):
             solve_gram([np.array([1.0, 0.0])], [1.0, 2.0])
+
+
+class TestSolveGramStack:
+    def test_stack_matches_single_solves_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for r in range(1, 6):
+            a = rng.normal(size=(40, r, r + 2)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1, 1))
+            b = rng.normal(size=(40, r))
+            beta, ok = solve_gram_stack(a, b)
+            assert ok.all()
+            for i in range(len(a)):
+                assert np.array_equal(beta[i], solve_gram(list(a[i]), b[i]))
+
+    def test_singular_item_fails_alone(self):
+        # one dependent item makes the stacked Cholesky raise; the stack is
+        # then re-solved item by item, and only that item fails
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(5, 2, 3))
+        a[2, 1] = 2.0 * a[2, 0]
+        b = rng.normal(size=(5, 2))
+        beta, ok = solve_gram_stack(a, b)
+        assert ok.tolist() == [True, True, False, True, True]
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(beta[i], solve_gram(list(a[i]), b[i]))
+        with pytest.raises(SingularGram):
+            solve_gram(list(a[2]), b[2])
 
 
 class TestGramMatrix:

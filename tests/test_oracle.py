@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from polyproj import (
     reduce_hyperplane_system,
     solve_gram,
 )
+from polyproj.oracle import KKT_TOL
 from polyproj.sets import Feasibility, Membership, contains, membership_bound
 from polyproj.instances import random_point, unit_vector
 
+from exact import exact_project
 from helpers import (
     EMPTY_LD_PAIR_CASES,
     LD_PAIR_CASES,
@@ -212,16 +216,17 @@ class TestActiveSetPruning:
         assert min(outcomes.values()) > 0, outcomes
 
     def test_enumeration_capped_by_equality_rank(self, monkeypatch):
-        # d = 5, one plane, 8 halfspaces: sum_{k<=4} C(8,k) = 163 active sets;
-        # duplicating the plane leaves rank(E) = 1, so the count must not move
-        calls = []
-        reduce = polyproj.oracle.reduce_hyperplane_system
+        # d = 5, one plane, 8 halfspaces: sum_{k<=4} C(8,k) = 163 active sets,
+        # each handed to the stacked Gram solve; duplicating the plane leaves
+        # rank(E) = 1, so the count must not move
+        solved = []
+        solve = polyproj.oracle.solve_gram_stack
 
-        def counting_reduce(planes, tol):
-            calls.append(len(planes))
-            return reduce(planes, tol)
+        def counting_solve(a, b):
+            solved.append(len(a))
+            return solve(a, b)
 
-        monkeypatch.setattr(polyproj.oracle, "reduce_hyperplane_system", counting_reduce)
+        monkeypatch.setattr(polyproj.oracle, "solve_gram_stack", counting_solve)
         rng = np.random.default_rng(47)
         anchor = random_point(rng, 5, 1.0)
         u = unit_vector(rng, 5)
@@ -231,13 +236,114 @@ class TestActiveSetPruning:
             u = unit_vector(rng, 5)
             halfspaces.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.uniform(0.0, 1.0))))
         x = anchor + random_point(rng, 5)
-        counts = []
         for planes in ([plane], [plane, plane]):
-            calls.clear()
+            solved.clear()
             oracle_project(planes + halfspaces, x)
-            counts.append(len(calls))
-        assert counts[0] <= 164
-        assert counts[1] == counts[0]
+            assert sum(solved) == 163
+        # a parallel plane with another offset empties the set before any solve
+        solved.clear()
+        with pytest.raises(EmptySet):
+            oracle_project([plane, Hyperplane(2.0 * plane.u, 2.0 * plane.eta + 1.0)] + halfspaces, x)
+        assert solved == []
+
+    def test_more_subsets_than_one_stack(self, monkeypatch):
+        # d = 5, 11 halfspaces: C(11,5) = 462 active sets keep 5 rows, so that
+        # group is solved in more than one stack of at most GRAM_STACK
+        solved = []
+        solve = polyproj.oracle.solve_gram_stack
+
+        def counting_solve(a, b):
+            solved.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(polyproj.oracle, "solve_gram_stack", counting_solve)
+        rng = np.random.default_rng(48)
+        anchor = random_point(rng, 5, 1.0)
+        sets = []
+        for _ in range(11):
+            u = unit_vector(rng, 5)
+            sets.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.uniform(-0.2, 1.0))))
+        x = anchor + random_point(rng, 5, 4.0)
+        point, cert = oracle_project(sets, x)
+        assert max(solved) == polyproj.oracle.GRAM_STACK
+        assert sum(solved) > 2 * polyproj.oracle.GRAM_STACK
+        for got, want in zip((point, cert.lam, cert.beta), full_enumeration(sets, x)):
+            assert np.array_equal(got, want)
+
+
+def referee_instance(rng, dim, m, grid):
+    """Planes and halfspaces around an anchor, for the exact referee.
+
+    On the grid, normals have entries in {-1, -1/2, 0, 1/2, 1} and the
+    anchor in quarters, so exact degeneracies (dependent triples, zero
+    normals, touching constraints) are common; off it, normals are random
+    unit vectors.  Copies are scaled by 1, 2, -1 or -1/2, which floats
+    represent exactly, so duplicated and opposed halfspaces are exactly
+    parallel.
+    """
+
+    def normal():
+        return rng.integers(-2, 3, size=dim) / 2.0 if grid else unit_vector(rng, dim)
+
+    anchor = rng.integers(-4, 5, size=dim) / 4.0 if grid else random_point(rng, dim, 1.0)
+    sets = []
+    for _ in range(int(rng.integers(0, 3))):
+        u = normal()
+        sets.append(Hyperplane(u, float(np.dot(u, anchor))))
+    if sets and rng.uniform() < 0.3:
+        sets.append(Hyperplane(2.0 * sets[0].u, 2.0 * sets[0].eta))
+    halfspaces = []
+    for _ in range(m):
+        if halfspaces and rng.uniform() < 0.35:
+            h = halfspaces[int(rng.integers(len(halfspaces)))]
+            c = float(rng.choice([1.0, 2.0, -1.0, -0.5]))
+            halfspaces.append(Halfspace(c * h.u, c * h.eta + float(rng.choice([0.0, 0.25, -0.5]))))
+        else:
+            u = normal()
+            halfspaces.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.choice([-0.25, 0.0, 0.5]))))
+    sets += halfspaces
+    order = rng.permutation(len(sets))
+    x = anchor + (rng.integers(-8, 9, size=dim) / 4.0 if grid else random_point(rng, dim, 2.0))
+    return [sets[i] for i in order], x
+
+
+class TestExactReferee:
+    def test_oracle_matches_exact_projection(self):
+        # Bound, fixed before the first run: the oracle's point lies within
+        # 1e-8 * (1 + |x|) of the exact projection.  The oracle accepts
+        # candidates whose gaps and multiplier signs are within KKT_TOL = 1e-9
+        # of exact; on these unit-scale instances that slack, times the
+        # conditioning of a few unit normals, stays below ten times KKT_TOL,
+        # and float rounding adds about 1e-15.  An exactly empty intersection
+        # raises EmptySet, unless it is empty by less than the membership
+        # tolerance: constraints that touch at the anchor can miss each other
+        # by a rounding error, and then the oracle's point must violate no
+        # constraint, in exact arithmetic, by more than membership_bound.
+        rng = np.random.default_rng(49)
+        outcomes = {"point": 0, "empty": 0, "grid": 0}
+        for trial in range(80):
+            grid = trial % 2 == 0
+            dim = 1 + trial % 4 if grid else 2 + trial % 3
+            sets, x = referee_instance(rng, dim, int(rng.integers(0, 7)), grid)
+            exact = exact_project(sets, x)
+            outcomes["grid"] += grid
+            if exact is None:
+                outcomes["empty"] += 1
+                try:
+                    point, _ = oracle_project(sets, x)
+                except EmptySet:
+                    continue
+                for s in sets:
+                    gap = sum(Fraction(float(p)) * Fraction(float(c)) for p, c in zip(point, s.u)) - Fraction(s.eta)
+                    gap = abs(gap) if s.kind == "hyperplane" else gap
+                    assert gap <= Fraction(membership_bound(s, point, KKT_TOL))
+                continue
+            outcomes["point"] += 1
+            point, cert = oracle_project(sets, x)
+            assert cert.valid
+            err_sq = sum((Fraction(float(p)) - e) ** 2 for p, e in zip(point, exact))
+            assert err_sq <= Fraction(1e-8 * (1.0 + float(np.linalg.norm(x)))) ** 2
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestHyperplaneRowMembership:

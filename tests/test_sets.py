@@ -23,6 +23,7 @@ from polyproj import (
     project_hyperplanes,
     reduce_hyperplane_system,
 )
+from polyproj.errors import ZeroNormal
 from polyproj.instances import random_hyperplane_system
 from polyproj.sets import checked_point
 
@@ -105,6 +106,20 @@ class TestDegenerateClassification:
         assert is_whole_space(Halfspace([0, 0], 0.0))
         assert is_whole_space(Halfspace([0, 0], 3.0))
         assert is_empty(Halfspace([0, 0], -0.5))
+
+    def test_underflowing_normal_rejected(self):
+        # (1e-200)^2 underflows to 0, so no projector can divide by |u|^2; an
+        # exact zero normal is still classified, and 1e-150 still squares to
+        # a normal number
+        for kind in (Halfspace, Hyperplane):
+            with pytest.raises(ZeroNormal):
+                kind([1e-200, 0.0], -1.0)
+            assert kind([0.0, 0.0], 0.0).has_zero_normal
+            assert not kind([1e-150, 0.0], -1.0).has_zero_normal
+        with pytest.raises(ZeroNormal):
+            project_halfspace(Halfspace([1e-200, 0], -1), [0, 1])
+        with pytest.raises(ZeroNormal):
+            project_halfspace_pair(Halfspace([1e-200, 0], -1), Halfspace([0, 1], 0), [0, 1])
 
     def test_sets_are_immutable(self):
         s = Halfspace([1.0, 2.0], 1.0)
