@@ -6,8 +6,8 @@ to stdout or the requested output files.  The environment variable
 ``POLYPROJ_TOL`` overrides the KKT tolerance that ``project`` certifies
 results with (the ``tol`` of the oracle and of ``certify``); it is the
 only tolerance override.  ``experiment`` judges its rows by fixed
-thresholds: ``iterate.RATE_SLACK``, ``EXACTNESS_TOL``, the
-``contains`` default and ``DYKSTRA_MATCH_TOL``.
+thresholds: ``iterate.RATE_SLACK``, ``EXACTNESS_TOL``,
+``sets.MEMBERSHIP_TOL`` (through ``contains``) and ``DYKSTRA_MATCH_TOL``.
 """
 
 from __future__ import annotations

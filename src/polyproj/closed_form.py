@@ -29,7 +29,7 @@ import numpy as np
 
 from .atomic import halfspace_step
 from .errors import DependentNormals, EmptySet
-from .linalg import DEPENDENCE_TOL, PairTag, as_vector, classify_pair, solve_gram
+from .linalg import PairTag, as_vector, classify_pair, solve_gram
 from .oracle import KKT_TOL, KktCertificate, kkt_check
 from .sets import (
     Feasibility,
@@ -271,9 +271,7 @@ def project_hyperplane_halfspace(h1: Hyperplane, w2: Halfspace, x) -> Projection
     )
 
 
-def project_hyperplanes(
-    planes: Sequence[Hyperplane], x, tol: float = DEPENDENCE_TOL
-) -> ProjectionBreakdown:
+def project_hyperplanes(planes: Sequence[Hyperplane], x) -> ProjectionBreakdown:
     """Project onto the intersection of finitely many hyperplanes.
 
     The system is first pruned to an independent subfamily; redundant
@@ -284,7 +282,7 @@ def project_hyperplanes(
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
     xv = checked_point(planes, x)
-    reduced = reduce_hyperplane_system(planes, tol)
+    reduced = reduce_hyperplane_system(planes)
     if reduced.status is Feasibility.INFEASIBLE:
         raise EmptySet("empty intersection")
     coefficients = np.zeros(len(planes))

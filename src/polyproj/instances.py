@@ -163,8 +163,8 @@ def random_hyperplane_system(
     return planes
 
 
-def generate_instance(seed: int, dim: int, kind: str, num_points: int = 3) -> Instance:
-    """Deterministic instance for the CLI: same seed, same bytes."""
+def generate_instance(seed: int, dim: int, kind: str) -> Instance:
+    """Deterministic instance with three query points for the CLI: same seed, same bytes."""
     rng = np.random.default_rng(seed)
     if kind == "pair_halfspace":
         sets = random_halfspace_pair(rng, dim)
@@ -174,5 +174,5 @@ def generate_instance(seed: int, dim: int, kind: str, num_points: int = 3) -> In
         sets = tuple(random_hyperplane_system(rng, dim))
     else:
         raise ValueError(f"unknown instance kind: {kind!r}")
-    points = tuple(random_point(rng, dim) for _ in range(num_points))
+    points = tuple(random_point(rng, dim) for _ in range(3))
     return Instance(dim, tuple(sets), points)

@@ -130,7 +130,6 @@ def dykstra(
     x,
     max_sweeps: int = 10_000,
     tol: float = 1e-10,
-    reference=None,
 ) -> IterationTrace:
     """Dykstra's algorithm over a finite family of linear sets.
 
@@ -147,7 +146,6 @@ def dykstra(
         if is_empty(s):
             raise EmptySet("a constraint set is empty")
     x0 = as_vector(x)
-    ref = None if reference is None else as_vector(reference)
     current = x0.copy()
     corrections = [np.zeros_like(x0) for _ in sets]
     iterates = [x0.copy()]
@@ -163,10 +161,7 @@ def dykstra(
         if float(np.linalg.norm(current - previous)) <= tol:
             stop = StopReason.CONVERGED
             break
-    errors = None
-    if ref is not None:
-        errors = [float(np.linalg.norm(p - ref)) for p in iterates]
-    return IterationTrace(iterates, errors, stop)
+    return IterationTrace(iterates, None, stop)
 
 
 def rate_gamma(u1, u2) -> float:
@@ -208,16 +203,14 @@ def verify_bam(
     gamma: float,
     samples: Sequence,
     k_max: int,
-    fixpoint_tol: float = FIXPOINT_TOL,
-    rate_slack: float = RATE_SLACK,
 ) -> BamReport:
     """Check the best-approximation-mapping contract on sample points.
 
     For every sample x and every k from 1 to k_max, the projection of
     the k-th iterate onto the fixed set must equal the projection of x
-    (within ``fixpoint_tol``), and the distance of the k-th iterate to
+    (within ``FIXPOINT_TOL``), and the distance of the k-th iterate to
     that projection must be at most ``gamma**k`` times the starting
-    distance plus ``rate_slack``.  Failures are reported, not raised.
+    distance plus ``RATE_SLACK``.  Failures are reported, not raised.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
@@ -233,10 +226,10 @@ def verify_bam(
         current = x0
         for k in range(1, k_max + 1):
             current = composition(current)
-            if float(np.linalg.norm(fix_projector(current) - target)) > fixpoint_tol:
+            if float(np.linalg.norm(fix_projector(current) - target)) > FIXPOINT_TOL:
                 fix_ok = False
             err = float(np.linalg.norm(current - target))
-            if err > gamma**k * base + rate_slack:
+            if err > gamma**k * base + RATE_SLACK:
                 rate_ok = False
         results.append(BamSampleResult(fix_ok, rate_ok))
     return BamReport(tuple(results), gamma, k_max)

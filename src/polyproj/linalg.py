@@ -1,15 +1,14 @@
-"""Inner-product primitives with explicit dependence tolerances.
+"""Inner-product primitives with one dependence tolerance.
 
 Vectors are one-dimensional numpy arrays of finite floats.  Linear
 dependence of a pair is decided relative to the Cauchy-Schwarz gap:
 ``u1`` and ``u2`` count as dependent when
 
-    |u1| |u2| - |<u1, u2>|  <=  tol * |u1| |u2|
+    |u1| |u2| - |<u1, u2>|  <=  DEPENDENCE_TOL * |u1| |u2|
 
-which is scale invariant and reduces to the exact criterion as
-``tol -> 0``.  The default ``DEPENDENCE_TOL`` is deliberately exposed:
-the kernels here, the hyperplane-system reduction and projection, and
-the oracle accept an override; the pair projectors use the default.
+which is scale invariant and reduces to the exact criterion as the
+tolerance goes to 0.  The residual test of :func:`extend_basis` reads
+the same constant; no function takes an override.
 """
 
 from __future__ import annotations
@@ -106,14 +105,12 @@ class PairClass:
         )
 
 
-def classify_pair(u1, u2, tol: float = DEPENDENCE_TOL) -> PairClass:
+def classify_pair(u1, u2) -> PairClass:
     """Classify a pair of vectors by dependence and inner-product sign.
 
     A vector is "zero" only when all coordinates are exactly zero; the
     relative tolerance governs the dependent/independent boundary only.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     v1 = as_vector(u1)
     v2 = as_vector(u2)
     check_same_dim(v1, v2)
@@ -128,11 +125,11 @@ def classify_pair(u1, u2, tol: float = DEPENDENCE_TOL) -> PairClass:
     ip = float(np.dot(v1, v2))
     scale = n1 * n2
     gamma = min(abs(ip) / scale, 1.0)
-    if scale - abs(ip) <= tol * scale:
+    if scale - abs(ip) <= DEPENDENCE_TOL * scale:
         # dependent within tolerance: report the exact-arithmetic cosine
         tag = PairTag.DEPENDENT_POSITIVE if ip > 0 else PairTag.DEPENDENT_NEGATIVE
         return PairClass(tag, 1.0)
-    if abs(ip) <= tol * scale:
+    if abs(ip) <= DEPENDENCE_TOL * scale:
         return PairClass(PairTag.INDEPENDENT_ORTHOGONAL, gamma)
     tag = PairTag.INDEPENDENT_POSITIVE if ip > 0 else PairTag.INDEPENDENT_NEGATIVE
     return PairClass(tag, gamma)
@@ -204,13 +201,13 @@ def solve_gram(generators: Sequence, rhs) -> np.ndarray:
     return beta[0]
 
 
-def extend_basis(q: np.ndarray, v: np.ndarray, tol: float = DEPENDENCE_TOL) -> np.ndarray | None:
+def extend_basis(q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     """Unit residual of ``v`` against the orthonormal rows of ``q``, or None.
 
     ``v`` counts as dependent on the rows, and None is returned, when its
-    residual is at most ``tol`` times its own norm.  The residual is
-    ``v - (q v)ᵀ q``, taken twice (classical Gram-Schmidt with
-    reorthogonalization).
+    residual is at most ``DEPENDENCE_TOL`` times its own norm.  The
+    residual is ``v - (q v)ᵀ q``, taken twice (classical Gram-Schmidt
+    with reorthogonalization).
     """
     r = v
     if len(q):
@@ -218,7 +215,7 @@ def extend_basis(q: np.ndarray, v: np.ndarray, tol: float = DEPENDENCE_TOL) -> n
         r = r - (q @ r) @ q
     # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
     rnorm = math.sqrt(r.dot(r))
-    if rnorm <= tol * math.sqrt(v.dot(v)):
+    if rnorm <= DEPENDENCE_TOL * math.sqrt(v.dot(v)):
         return None
     return r / rnorm
 
@@ -246,7 +243,7 @@ class IndependentSubset:
     coefficients: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def max_independent_subset(vectors: Sequence, tol: float = DEPENDENCE_TOL) -> IndependentSubset:
+def max_independent_subset(vectors: Sequence) -> IndependentSubset:
     """Greedily select a maximal linearly independent subfamily.
 
     Scans in input order (first vector wins ties), extending an
@@ -257,7 +254,7 @@ def max_independent_subset(vectors: Sequence, tol: float = DEPENDENCE_TOL) -> In
     indices: list[int] = []
     prefix: dict[int, np.ndarray] = {}
     for i, v in enumerate(vecs):
-        unit = extend_basis(basis[: len(indices)], v, tol)
+        unit = extend_basis(basis[: len(indices)], v)
         if unit is None:
             prefix[i] = expansion_coefficients([vecs[j] for j in indices], v)
         else:

@@ -15,10 +15,10 @@ closed-form projectors, not to replace them.
 
 The subsets are walked depth first in lexicographic order.  The
 hyperplanes are scanned once; each child then extends its parent's
-orthonormal basis of kept rows by one boundary (``linalg.extend_basis``),
-so no prefix is scanned twice.  A dependent boundary is dropped when
-``sets.offset_consistent`` accepts it, the rule
-``reduce_hyperplane_system`` applies, and otherwise ends its branch,
+orthonormal basis of kept rows by one boundary, so no prefix is scanned
+twice.  Rows are added by ``sets.add_row``, the same row step
+``reduce_hyperplane_system`` takes: a dependent boundary is dropped when
+its offset agrees with the kept rows, and otherwise ends its branch,
 since every superset keeps the contradiction.  The Gram systems of the
 visited subsets are solved in stacks of at most ``GRAM_STACK``, grouped by
 how many rows they keep (``linalg.solve_gram_stack``); the results are
@@ -37,21 +37,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
-from .linalg import (
-    DEPENDENCE_TOL,
-    as_vector,
-    expansion_coefficients,
-    extend_basis,
-    solve_gram_stack,
-)
-from .sets import (
-    Halfspace,
-    Hyperplane,
-    LinearSet,
-    checked_point,
-    is_empty,
-    offset_consistent,
-)
+from .linalg import as_vector, solve_gram_stack
+from .sets import Halfspace, Hyperplane, LinearSet, add_row, checked_point, is_empty
 
 MAX_INEQUALITIES = 20
 
@@ -119,24 +106,17 @@ def kkt_check(
         )
 
     grad = pv - xv
-    for mult, (_, s) in zip(lam_arr, ineq):
-        grad = grad + mult * s.u
-    for mult, (_, s) in zip(beta_arr, eq):
-        grad = grad + mult * s.u
-    stationarity = float(np.linalg.norm(grad))
-
     feasibility = 0.0
-    for _, s in eq:
-        feasibility = max(feasibility, abs(float(np.dot(pv, s.u)) - s.eta))
-    for _, s in ineq:
-        feasibility = max(feasibility, float(np.dot(pv, s.u)) - s.eta)
-    feasibility = max(feasibility, 0.0)
-
     complementarity = 0.0
     for mult, (_, s) in zip(lam_arr, ineq):
-        complementarity = max(
-            complementarity, abs(mult * (float(np.dot(pv, s.u)) - s.eta))
-        )
+        grad = grad + mult * s.u
+        gap = float(np.dot(pv, s.u)) - s.eta
+        feasibility = max(feasibility, gap)
+        complementarity = max(complementarity, abs(mult * gap))
+    for mult, (_, s) in zip(beta_arr, eq):
+        grad = grad + mult * s.u
+        feasibility = max(feasibility, abs(float(np.dot(pv, s.u)) - s.eta))
+    stationarity = float(np.linalg.norm(grad))
 
     valid = (
         stationarity <= tol
@@ -160,12 +140,7 @@ class OracleResult(NamedTuple):
     certificate: KktCertificate
 
 
-def oracle_project(
-    sets: Sequence[LinearSet],
-    x,
-    tol: float = KKT_TOL,
-    dependence_tol: float = DEPENDENCE_TOL,
-) -> OracleResult:
+def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> OracleResult:
     """Brute-force projection onto an intersection of linear sets.
 
     Enumerates the subsets of at most ``d - rank(E)`` inequalities as
@@ -195,18 +170,6 @@ def oracle_project(
     slack_base = 1.0 + np.abs(offsets)
     normal_norms = np.array([float(np.linalg.norm(s.u)) for s in rows])
     basis = np.empty_like(normals)
-
-    def add_row(kept: tuple[int, ...], row: int) -> tuple[int, ...] | None:
-        """``kept`` extended by ``row`` if it is independent of them (its unit
-        residual goes to ``basis[len(kept)]``), unchanged if it is a
-        consistent dependent row, None if it contradicts them."""
-        unit = extend_basis(basis[: len(kept)], normals[row], dependence_tol)
-        if unit is not None:
-            basis[len(kept)] = unit
-            return kept + (row,)
-        retained = [rows[j] for j in kept]
-        coeff = expansion_coefficients([s.u for s in retained], normals[row])
-        return kept if offset_consistent(rows[row], coeff, retained, dependence_tol) else None
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -250,7 +213,7 @@ def oracle_project(
 
     def walk(active: tuple[int, ...], kept: tuple[int, ...], depth_left: int) -> None:
         for i in range(active[-1] + 1 if active else 0, m):
-            child_kept = add_row(kept, ne + i)
+            child_kept = add_row(basis, kept, normals, offsets, ne + i)
             if child_kept is None:
                 continue  # every superset keeps this contradiction
             child = active + (i,)
@@ -262,7 +225,7 @@ def oracle_project(
 
     kept_eq: tuple[int, ...] | None = ()
     for row in range(ne):
-        kept_eq = add_row(kept_eq, row)
+        kept_eq = add_row(basis, kept_eq, normals, offsets, row)
         if kept_eq is None:
             raise EmptySet("empty intersection")
     if kept_eq:

@@ -4,14 +4,21 @@ A hyperplane is {x : <x,u> = eta}; a halfspace is {x : <x,u> <= eta}.
 Zero normals are legal and classified rather than rejected: the set is
 then the whole space or empty depending on the offset, and callers can
 query that through :func:`is_whole_space` / :func:`is_empty`.  A
-nonzero normal whose squared norm underflows to zero is rejected with
-ZeroNormal, so "zero normal" means the same to every projector.
+nonzero normal whose squared norm underflows below the smallest normal
+float is rejected with ZeroNormal, so "zero normal" means the same to
+every projector and no projector divides by a subnormal |u|^2.
 
 Membership is tolerance-based.  A point sits on the boundary when
 
     |<x,u> - eta|  <=  tol * (1 + |eta| + |u| |x|)
 
-which keeps the test meaningful across scales.
+which keeps the test meaningful across scales; ``tol`` is
+``MEMBERSHIP_TOL``.
+
+:func:`add_row` is the one row step of a hyperplane system: it extends
+an orthonormal basis of the kept normals by one row, or else checks the
+dependent row's offset against the kept rows.  Both
+:func:`reduce_hyperplane_system` and the oracle's active-set walk call it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroNormal
-from .linalg import DEPENDENCE_TOL, as_vector, max_independent_subset
+from .linalg import DEPENDENCE_TOL, as_vector, expansion_coefficients, extend_basis
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -37,8 +44,8 @@ class _LinearSet:
 
     def __post_init__(self):
         u = as_vector(self.u).copy()
-        if float(u.dot(u)) == 0.0 and u.any():
-            raise ZeroNormal("normal is nonzero but its squared norm underflows to zero")
+        if float(u.dot(u)) < np.finfo(float).tiny and u.any():
+            raise ZeroNormal("normal is nonzero but its squared norm underflows")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
         eta = float(self.eta)
@@ -112,7 +119,7 @@ def checked_point(sets: Sequence[LinearSet], x) -> np.ndarray:
     return xv
 
 
-def contains(s: LinearSet, x, tol: float = MEMBERSHIP_TOL) -> Membership:
+def contains(s: LinearSet, x) -> Membership:
     """Tolerance-based membership test.
 
     Halfspaces report Inside / Boundary / Outside; hyperplanes report
@@ -120,7 +127,7 @@ def contains(s: LinearSet, x, tol: float = MEMBERSHIP_TOL) -> Membership:
     """
     xv = checked_point((s,), x)
     value = float(np.dot(xv, s.u)) - s.eta
-    bound = membership_bound(s, xv, tol)
+    bound = membership_bound(s, xv, MEMBERSHIP_TOL)
     if isinstance(s, Hyperplane):
         return Membership.ON_PLANE if abs(value) <= bound else Membership.OFF
     if abs(value) <= bound:
@@ -147,42 +154,54 @@ class ReducedHyperplaneSystem:
     retained_indices: tuple[int, ...]
 
 
-def offset_consistent(
-    plane: Hyperplane, coefficients, retained: Sequence[Hyperplane], tol: float = DEPENDENCE_TOL
-) -> bool:
-    """Whether a plane whose normal is dependent on ``retained`` agrees with them.
+def add_row(
+    basis: np.ndarray, kept: tuple[int, ...], normals: np.ndarray, offsets: np.ndarray, row: int
+) -> tuple[int, ...] | None:
+    """One row step of the hyperplane system with rows ``normals``, ``offsets``.
 
-    Its normal is sum_j c_j u_j over the retained planes, with
-    ``coefficients`` c aligned with ``retained``; it is consistent only
-    if its offset matches sum_j c_j eta_j within ``tol * (1 + |eta|)``.
-    A zero-normal plane is consistent only if its offset is exactly zero
-    (it is the empty set otherwise).
+    ``basis[: len(kept)]`` holds orthonormal rows spanning the normals
+    of the ``kept`` rows.  Returns ``kept + (row,)`` when the new normal
+    is independent of them (:func:`linalg.extend_basis`; its unit
+    residual goes to ``basis[len(kept)]``), ``kept`` when the row is
+    dependent and consistent, and None when it contradicts them.  A
+    dependent normal is sum_j c_j u_j over the kept rows (least
+    squares); the row is consistent if its offset matches sum_j c_j eta_j
+    within ``DEPENDENCE_TOL * (1 + |eta|)``.  A zero-normal row is
+    consistent only if its offset is exactly zero.
     """
-    if plane.has_zero_normal:
-        return plane.eta == 0.0
-    implied = float(sum(c * p.eta for c, p in zip(coefficients, retained)))
-    return not abs(plane.eta - implied) > tol * (1.0 + abs(plane.eta))
+    v, eta = normals[row], offsets[row]
+    unit = extend_basis(basis[: len(kept)], v)
+    if unit is not None:
+        basis[len(kept)] = unit
+        return kept + (row,)
+    if not v.any():
+        return kept if eta == 0.0 else None
+    coeff = expansion_coefficients([normals[j] for j in kept], v)
+    implied = float(sum(c * offsets[j] for c, j in zip(coeff, kept)))
+    return None if abs(eta - implied) > DEPENDENCE_TOL * (1.0 + abs(eta)) else kept
 
 
-def reduce_hyperplane_system(
-    planes: Sequence[Hyperplane], tol: float = DEPENDENCE_TOL
-) -> ReducedHyperplaneSystem:
+def reduce_hyperplane_system(planes: Sequence[Hyperplane]) -> ReducedHyperplaneSystem:
     """Prune dependent planes and detect offset contradictions.
 
-    Normals are scanned greedily in input order; every excluded plane
-    must pass :func:`offset_consistent` against the retained ones.
+    Rows are scanned greedily in input order with :func:`add_row`.
     Infeasibility is reported as data, never raised.
     """
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
-    subset = max_independent_subset([p.u for p in planes], tol)
-    retained = tuple(planes[i] for i in subset.indices)
-    consistent = all(
-        offset_consistent(planes[i], coeff, retained, tol)
-        for i, coeff in subset.coefficients.items()
-    )
-    status = Feasibility.FEASIBLE if consistent else Feasibility.INFEASIBLE
-    return ReducedHyperplaneSystem(retained, status, subset.indices)
+    checked_point(planes, planes[0].u)  # DimensionMismatch unless all share one dimension
+    normals = np.array([p.u for p in planes])
+    offsets = np.array([p.eta for p in planes])
+    basis = np.empty_like(normals)
+    kept: tuple[int, ...] = ()
+    status = Feasibility.FEASIBLE
+    for row in range(len(planes)):
+        step = add_row(basis, kept, normals, offsets, row)
+        if step is None:
+            status = Feasibility.INFEASIBLE
+        else:
+            kept = step
+    return ReducedHyperplaneSystem(tuple(planes[i] for i in kept), status, kept)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import polyproj.linalg
 import polyproj.oracle
+import polyproj.sets
 from polyproj import (
     DimensionMismatch,
     EmptySet,
@@ -347,15 +349,18 @@ class TestExactReferee:
 
 
 class TestHyperplaneRowMembership:
-    def test_plane_dropped_as_dependent_still_binds(self):
-        # at dependence_tol 1e-3 the second plane, tilted by 1e-5, counts as a
-        # copy of the first and leaves the Gram solve; the planes still meet
-        # only on the x3 axis, so any point returned must lie on both
+    def test_plane_dropped_as_dependent_still_binds(self, monkeypatch):
+        # at a dependence tolerance of 1e-3 the second plane, tilted by 1e-5,
+        # counts as a copy of the first and leaves the Gram solve; the planes
+        # still meet only on the x3 axis, so any point returned must lie on
+        # both.  The tolerance is raised at every binding the row step reads.
+        for module in (polyproj.linalg, polyproj.sets):
+            monkeypatch.setattr(module, "DEPENDENCE_TOL", 1e-3)
         tilt = 1e-5
         planes = [Hyperplane([1, 0, 0], 0.0), Hyperplane([np.cos(tilt), np.sin(tilt), 0], 0.0)]
         sets = planes + [Halfspace([0, 0, 1], 5.0)]
         try:
-            point, _ = oracle_project(sets, [3, 5, 1], dependence_tol=1e-3)
+            point, _ = oracle_project(sets, [3, 5, 1])
         except EmptySet:
             return
         for plane in planes:

@@ -47,7 +47,7 @@ class TestContains:
     def test_relative_tolerance_scales(self):
         # a violation of 1e-7 at scale 1e6 sits inside the boundary band
         s = Halfspace([1e6, 0], 1e6)
-        assert contains(s, [1.0 + 1e-13, 0.0], tol=1e-9) is Membership.BOUNDARY
+        assert contains(s, [1.0 + 1e-13, 0.0]) is Membership.BOUNDARY
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -108,18 +108,20 @@ class TestDegenerateClassification:
         assert is_empty(Halfspace([0, 0], -0.5))
 
     def test_underflowing_normal_rejected(self):
-        # (1e-200)^2 underflows to 0, so no projector can divide by |u|^2; an
-        # exact zero normal is still classified, and 1e-150 still squares to
-        # a normal number
-        for kind in (Halfspace, Hyperplane):
+        # (1e-200)^2 underflows to 0 and (1e-155)^2 to a subnormal, so no
+        # projector can divide by |u|^2; an exact zero normal is still
+        # classified, and 1e-150 still squares to a normal number
+        for tiny in (1e-200, 1e-155):
+            for kind in (Halfspace, Hyperplane):
+                with pytest.raises(ZeroNormal):
+                    kind([tiny, 0.0], -1.0)
             with pytest.raises(ZeroNormal):
-                kind([1e-200, 0.0], -1.0)
+                project_halfspace(Halfspace([tiny, 0], -1), [0, 1])
+            with pytest.raises(ZeroNormal):
+                project_halfspace_pair(Halfspace([tiny, 0], -1), Halfspace([0, 1], 0), [0, 1])
+        for kind in (Halfspace, Hyperplane):
             assert kind([0.0, 0.0], 0.0).has_zero_normal
             assert not kind([1e-150, 0.0], -1.0).has_zero_normal
-        with pytest.raises(ZeroNormal):
-            project_halfspace(Halfspace([1e-200, 0], -1), [0, 1])
-        with pytest.raises(ZeroNormal):
-            project_halfspace_pair(Halfspace([1e-200, 0], -1), Halfspace([0, 1], 0), [0, 1])
 
     def test_sets_are_immutable(self):
         s = Halfspace([1.0, 2.0], 1.0)
