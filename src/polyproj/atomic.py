@@ -32,7 +32,7 @@ def project_hyperplane(plane: Hyperplane, x) -> np.ndarray:
     if plane.has_zero_normal:
         return xv.copy()
     u = plane.u
-    step = (plane.eta - float(np.dot(xv, u))) / float(np.dot(u, u))
+    step = (plane.eta - float(np.dot(xv, u))) / plane.norm_sq
     return xv + step * u
 
 
@@ -47,7 +47,7 @@ def halfspace_step(half: Halfspace, xv: np.ndarray) -> tuple[np.ndarray, float]:
     value = float(np.dot(xv, u)) - half.eta
     if value <= membership_bound(half, xv, BOUNDARY_TOL):
         return xv.copy(), 0.0
-    t = value / float(np.dot(u, u))
+    t = value / half.norm_sq
     return xv - t * u, t
 
 

@@ -99,9 +99,7 @@ def _pair_terms(s1_set, s2_set, xv):
     a1 = float(np.dot(xv, u1)) - s1_set.eta
     a2 = float(np.dot(xv, u2)) - s2_set.eta
     q = float(np.dot(u1, u2))
-    n1sq = float(np.dot(u1, u1))
-    n2sq = float(np.dot(u2, u2))
-    return a1, a2, q, n1sq, n2sq
+    return a1, a2, q, s1_set.norm_sq, s2_set.norm_sq
 
 
 def _region_of(a1, a2, q, n1sq, n2sq) -> Region:
@@ -133,9 +131,8 @@ def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
 def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown:
     if is_empty(w1) or is_empty(w2):
         raise EmptySet("empty intersection")
-    u1, u2 = w1.u, w2.u
-    n1 = float(np.linalg.norm(u1))
-    n2 = float(np.linalg.norm(u2))
+    u1 = w1.u
+    n1, n2 = w1.norm, w2.norm
 
     if n1 == 0.0 and n2 == 0.0:
         return ProjectionBreakdown(
@@ -220,8 +217,7 @@ def project_hyperplane_halfspace(h1: Hyperplane, w2: Halfspace, x) -> Projection
     if pc.linearly_dependent:
         if is_empty(h1) or is_empty(w2):
             raise EmptySet("empty intersection")
-        n1 = float(np.linalg.norm(u1))
-        n2 = float(np.linalg.norm(u2))
+        n1, n2 = h1.norm, w2.norm
         if n1 == 0.0:
             point, t = halfspace_step(w2, xv)
             return ProjectionBreakdown(

@@ -17,6 +17,7 @@ from pair classification to expected behavior.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +33,11 @@ STEP_TOL = 1e-12
 RATE_SLACK = 1e-9
 
 FIXPOINT_TOL = 1e-8
+
+
+def _norm(v: np.ndarray) -> float:
+    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
+    return math.sqrt(float(v.dot(v)))
 
 
 class StopReason(enum.Enum):
@@ -73,18 +79,20 @@ def write_csv(path, header, rows) -> None:
     Floats get 17 significant digits so they read back exactly; booleans
     are written ``true``/``false``; anything else goes through ``str``.
     """
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for value in row:
-                if isinstance(value, bool):
-                    cells.append("true" if value else "false")
-                elif isinstance(value, float):
-                    cells.append(format(value, ".17g"))
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def _csv_cell(value) -> str:
+    # bool before float, and isinstance rather than type(): np.float64 is a
+    # float subclass and must get 17 digits too
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
 def compose_iterate(
@@ -105,7 +113,7 @@ def compose_iterate(
         raise ValueError("need at least one projector")
     x0 = as_vector(x)
     ref = None if reference is None else as_vector(reference)
-    threshold = STEP_TOL * (1.0 + float(np.linalg.norm(x0)))
+    threshold = STEP_TOL * (1.0 + _norm(x0))
     iterates = [x0.copy()]
     stop = StopReason.MAX_ITERATIONS
     current = x0
@@ -114,14 +122,14 @@ def compose_iterate(
         for proj in projectors:
             nxt = proj(nxt)
         iterates.append(nxt)
-        step = float(np.linalg.norm(nxt - current))
+        step = _norm(nxt - current)
         current = nxt
         if step <= threshold:
             stop = StopReason.CONVERGED
             break
     errors = None
     if ref is not None:
-        errors = [float(np.linalg.norm(p - ref)) for p in iterates]
+        errors = [_norm(p - ref) for p in iterates]
     return IterationTrace(iterates, errors, stop)
 
 
@@ -158,7 +166,7 @@ def dykstra(
             current = project_onto(s, shifted)
             corrections[i] = shifted - current
         iterates.append(current.copy())
-        if float(np.linalg.norm(current - previous)) <= tol:
+        if _norm(current - previous) <= tol:
             stop = StopReason.CONVERGED
             break
     return IterationTrace(iterates, None, stop)
@@ -220,15 +228,15 @@ def verify_bam(
     for sample in samples:
         x0 = as_vector(sample)
         target = fix_projector(x0)
-        base = float(np.linalg.norm(x0 - target))
+        base = _norm(x0 - target)
         fix_ok = True
         rate_ok = True
         current = x0
         for k in range(1, k_max + 1):
             current = composition(current)
-            if float(np.linalg.norm(fix_projector(current) - target)) > FIXPOINT_TOL:
+            if _norm(fix_projector(current) - target) > FIXPOINT_TOL:
                 fix_ok = False
-            err = float(np.linalg.norm(current - target))
+            err = _norm(current - target)
             if err > gamma**k * base + RATE_SLACK:
                 rate_ok = False
         results.append(BamSampleResult(fix_ok, rate_ok))

@@ -114,8 +114,9 @@ def classify_pair(u1, u2) -> PairClass:
     v1 = as_vector(u1)
     v2 = as_vector(u2)
     check_same_dim(v1, v2)
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
+    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
+    n1 = math.sqrt(float(v1.dot(v1)))
+    n2 = math.sqrt(float(v2.dot(v2)))
     if n1 == 0.0 and n2 == 0.0:
         return PairClass(PairTag.BOTH_ZERO, 0.0)
     if n1 == 0.0:

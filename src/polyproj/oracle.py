@@ -31,6 +31,7 @@ feasibility, dual nonnegativity, and complementary slackness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -65,6 +66,11 @@ class KktCertificate:
     complementarity_residual: float
     tol: float
     valid: bool
+
+
+def _norm(v: np.ndarray) -> float:
+    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
+    return math.sqrt(float(v.dot(v)))
 
 
 def _split(sets: Sequence[LinearSet]):
@@ -116,7 +122,7 @@ def kkt_check(
     for mult, (_, s) in zip(beta_arr, eq):
         grad = grad + mult * s.u
         feasibility = max(feasibility, abs(float(np.dot(pv, s.u)) - s.eta))
-    stationarity = float(np.linalg.norm(grad))
+    stationarity = _norm(grad)
 
     valid = (
         stationarity <= tol
@@ -168,7 +174,7 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
     offsets = np.array([s.eta for s in rows])
     rhs = np.array([float(np.dot(xv, s.u)) for s in rows]) - offsets
     slack_base = 1.0 + np.abs(offsets)
-    normal_norms = np.array([float(np.linalg.norm(s.u)) for s in rows])
+    normal_norms = np.array([s.norm for s in rows])
     basis = np.empty_like(normals)
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -182,10 +188,10 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
         # np.dot, since a matrix product rounds differently
         gaps = np.array([np.dot(point, s.u) for s in rows]) - offsets
         gaps[:ne] = np.abs(gaps[:ne])
-        bounds = tol * (slack_base + normal_norms * float(np.linalg.norm(point)))
+        bounds = tol * (slack_base + normal_norms * _norm(point))
         if (gaps > bounds).any():
             return
-        dist = float(np.linalg.norm(point - xv))
+        dist = _norm(point - xv)
         if best is None or (dist, active) < best[:2]:
             is_eq = kept < ne
             lam_full = np.zeros(m)

@@ -8,6 +8,15 @@ nonzero normal whose squared norm underflows below the smallest normal
 float is rejected with ZeroNormal, so "zero normal" means the same to
 every projector and no projector divides by a subnormal |u|^2.
 
+Each set computes three invariants of its normal once, when it is
+built: ``norm_sq`` (the float ``u.dot(u)``), ``norm`` (its square root,
+bit for bit ``np.linalg.norm(u)``) and ``has_zero_normal`` (exactly
+``norm_sq == 0.0``, since a nonzero normal with a smaller square is
+rejected).  They cannot go stale: the set is frozen, ``u`` is a
+read-only private copy, and ``dataclasses.replace`` builds a new set
+that computes them again.  The projectors read them instead of
+recomputing them on every call.
+
 Membership is tolerance-based.  A point sits on the boundary when
 
     |<x,u> - eta|  <=  tol * (1 + |eta| + |u| |x|)
@@ -26,7 +35,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -36,15 +45,21 @@ from .linalg import DEPENDENCE_TOL, as_vector, expansion_coefficients, extend_ba
 
 MEMBERSHIP_TOL = 1e-9
 
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class _LinearSet:
     u: np.ndarray
     eta: float
+    norm_sq: float = field(init=False, repr=False, compare=False)
+    norm: float = field(init=False, repr=False, compare=False)
+    has_zero_normal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = as_vector(self.u).copy()
-        if float(u.dot(u)) < np.finfo(float).tiny and u.any():
+        norm_sq = float(u.dot(u))
+        if norm_sq < _TINY and u.any():
             raise ZeroNormal("normal is nonzero but its squared norm underflows")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -52,14 +67,13 @@ class _LinearSet:
         if not math.isfinite(eta):
             raise ValueError("offset must be finite")
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "norm_sq", norm_sq)
+        object.__setattr__(self, "norm", math.sqrt(norm_sq))
+        object.__setattr__(self, "has_zero_normal", norm_sq == 0.0)
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
-
-    @property
-    def has_zero_normal(self) -> bool:
-        return not np.any(self.u)
 
 
 class Hyperplane(_LinearSet):
@@ -107,7 +121,9 @@ class Membership(enum.Enum):
 
 
 def membership_bound(s: LinearSet, x: np.ndarray, tol: float) -> float:
-    return tol * (1.0 + abs(s.eta) + float(np.linalg.norm(s.u)) * float(np.linalg.norm(x)))
+    """``tol * (1 + |eta| + |u| |x|)`` for a 1-D float array ``x``."""
+    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
+    return tol * (1.0 + abs(s.eta) + s.norm * math.sqrt(float(x.dot(x))))
 
 
 def checked_point(sets: Sequence[LinearSet], x) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,32 @@ class TestProject:
                 if case == "merged_halfspace":
                     assert len(result["multipliers"]) == 1
                     assert result["multipliers"] == result["certificate"]["lambda"]
+
+    def test_near_dependent_merge_is_checked_against_the_input_sets(self, tmp_path, capsys):
+        # 1 - cos(1e-5) is within the dependence tolerance, so the closed
+        # form merges the pair into x0 <= 0; the merged point (0, 100)
+        # violates the second input set by 100 sin(1e-5) ~ 1e-3
+        theta = 1e-5
+        sets = [
+            {"kind": "halfspace", "u": [1.0, 0.0], "eta": 0.0},
+            {"kind": "halfspace", "u": [math.cos(theta), math.sin(theta)], "eta": 0.0},
+        ]
+        path = self._write_instance(tmp_path, {"dim": 2, "sets": sets, "points": [[5.0, 100.0]]})
+        results = {}
+        for method in ("closed_form", "oracle"):
+            code, out, _ = run(["project", "--instance", path, "--method", method], capsys)
+            assert code == 0
+            results[method] = json.loads(out)
+        merged = results["closed_form"]
+        assert merged["region_or_case"] == "merged_halfspace"
+        assert merged["point"] == [0.0, 100.0]
+        assert merged["certificate"]["valid"] is False
+        assert merged["certificate"]["feasibility_residual"] == pytest.approx(100 * math.sin(theta))
+        # the projection lies on the second boundary alone
+        x, u2 = np.array([5.0, 100.0]), np.array(sets[1]["u"])
+        oracle = results["oracle"]
+        assert oracle["certificate"]["valid"] is True
+        np.testing.assert_allclose(oracle["point"], x - (x @ u2) * u2, rtol=0, atol=1e-12)
 
     def test_empty_intersection_exit_code(self, tmp_path, capsys):
         path = self._write_instance(

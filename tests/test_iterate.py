@@ -24,6 +24,7 @@ from polyproj import (
     verify_bam,
 )
 from polyproj.instances import pair_of_normals, random_offset, random_point
+from polyproj.iterate import write_csv
 
 from helpers import (
     ld_pair_case,
@@ -479,6 +480,42 @@ class TestTraceExport:
         out = tmp_path / "trace.csv"
         trace.write_csv(out)
         assert out.read_bytes() == b"k,x0,x1,err\n0,2,1,\n1,0.5,1,\n2,0.5,1,\n"
+
+    @staticmethod
+    def _reference_csv(path, header, rows):
+        # the per-cell loop write_csv replaced, kept as its reference
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                cells = []
+                for value in row:
+                    if isinstance(value, bool):
+                        cells.append("true" if value else "false")
+                    elif isinstance(value, float):
+                        cells.append(format(value, ".17g"))
+                    else:
+                        cells.append(str(value))
+                fh.write(",".join(cells) + "\n")
+
+    def test_csv_writer_matches_the_reference_loop(self, tmp_path):
+        header = ["a", "b", "c", "d"]
+        cells = [
+            True, False, np.bool_(True), np.bool_(False), 0, -7, np.int64(3), 2**70,
+            0.1, 1 / 3, np.float64(2.0) / 3, np.float64(-1e-17), -0.0, np.float64(-0.0),
+            1e-300, 5e-324, 1.7976931348623157e308, "", "fam,ily", "x",
+        ]
+        rng = np.random.default_rng(97)
+        cases = [
+            [],
+            [[]],
+            [cells[i : i + 4] for i in range(0, len(cells), 4)],
+            [[cells[j] for j in rng.integers(len(cells), size=4)] for _ in range(200)],
+        ]
+        for rows in cases:
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_csv(got, header, rows)
+            self._reference_csv(want, header, rows)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_csv_errors_column(self, tmp_path):
         w1, w2 = Halfspace([1, 0], 0.0), Halfspace([-0.6, 0.8], 0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,51 @@ class TestDegenerateClassification:
         s = Halfspace([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             s.u[0] = 5.0
+
+
+class TestCachedInvariants:
+    NORMALS = (
+        [3, -4],
+        [1, 2, 2],
+        np.array([0.1, -0.7, 2.5e-3]),
+        np.array([1e150, 3e149]),
+        [-0.0, 0.0],
+        [1e-150, 0.0],
+        [0, 0],
+    )
+
+    def _assert_cached(self, s):
+        u = s.u
+        assert type(s.norm_sq) is float and type(s.norm) is float
+        assert s.norm_sq.hex() == float(u @ u).hex()
+        assert s.norm.hex() == float(np.linalg.norm(u)).hex()
+        assert s.has_zero_normal is (not u.any())
+
+    def test_match_the_recomputed_values_bit_for_bit(self):
+        rng = np.random.default_rng(91)
+        normals = list(self.NORMALS) + [
+            rng.normal(size=d) * 10.0 ** rng.uniform(-5, 5) for d in (2, 3, 5, 7) for _ in range(25)
+        ]
+        for kind in (Halfspace, Hyperplane):
+            for u in normals:
+                self._assert_cached(kind(u, 0.5))
+
+    def test_cannot_go_stale(self):
+        for kind in (Halfspace, Hyperplane):
+            s = kind([3.0, 4.0], 1.0)
+            for name in ("norm", "norm_sq", "has_zero_normal", "u"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(s, name, 0.0)
+            with pytest.raises(ValueError):
+                s.u[0] = 0.0
+            moved = dataclasses.replace(s, u=[0.0, 0.0])
+            assert type(moved) is kind and moved.eta == 1.0
+            self._assert_cached(moved)
+            assert moved.has_zero_normal and moved.norm == 0.0
+            self._assert_cached(dataclasses.replace(moved, u=[1e-150, 2.0, -2.0]))
+            with pytest.raises(ZeroNormal):
+                dataclasses.replace(s, u=[1e-200, 0.0])
+            assert (s.norm_sq, s.norm, s.has_zero_normal) == (25.0, 5.0, False)
 
 
 class TestReduceHyperplaneSystem:
