@@ -4,8 +4,9 @@ Exit codes: 0 on success, 2 when the requested intersection is empty,
 1 on malformed input or configuration.  Diagnostics go to stderr, data
 to stdout or the requested output files.  The environment variable
 ``POLYPROJ_TOL`` overrides the KKT tolerance that ``project`` certifies
-results with (the ``tol`` of the oracle and of ``certify``); it is the
-only tolerance override.  ``experiment`` judges its rows by fixed
+results with (the ``tol`` of the oracle, of ``certify`` and of the
+closed form's check against the input sets); it is the only tolerance
+override.  ``experiment`` judges its rows by fixed
 thresholds: ``iterate.RATE_SLACK``, ``EXACTNESS_TOL``,
 ``sets.MEMBERSHIP_TOL`` (through ``contains``) and ``DYKSTRA_MATCH_TOL``.
 """
