@@ -22,7 +22,7 @@ projector for a family of sets.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ from .sets import (
     LinearSet,
     checked_point,
     is_empty,
+    membership_bound,
     reduce_hyperplane_system,
 )
 
@@ -68,7 +69,8 @@ class ProjectionBreakdown:
     ``point == x - sum(coefficients[i] * normals[i])`` holds to machine
     precision, and halfspace multipliers are nonnegative.  The sets are
     the projector's inputs, except in the ``merged_halfspace`` case,
-    whose one set is the halfspace the pair merges into.
+    whose one set is the halfspace the pair merges into; ``inputs``
+    always holds the projector's input sets (it defaults to ``sets``).
     ``case`` labels the dependent-normal branch taken (None on the
     independent path), and ``ill_conditioned`` flags independent pairs
     whose normals are within 1e-6 of dependence: the formulas still
@@ -81,6 +83,11 @@ class ProjectionBreakdown:
     region: Region | None = None
     case: str | None = None
     ill_conditioned: bool = False
+    inputs: tuple[LinearSet, ...] = ()
+
+    def __post_init__(self):
+        if not self.inputs:
+            object.__setattr__(self, "inputs", self.sets)
 
     @property
     def normals(self) -> tuple[np.ndarray, ...]:
@@ -155,7 +162,7 @@ def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown
         merged = Halfspace(n2 * u1, min(w1.eta * n2, w2.eta * n1))
         point, t = halfspace_step(merged, xv)
         return ProjectionBreakdown(
-            point, np.array([t]), (merged,), case="merged_halfspace"
+            point, np.array([t]), (merged,), case="merged_halfspace", inputs=(w1, w2)
         )
 
     # Opposite normals: a slab, or nothing when the offsets contradict.
@@ -316,7 +323,24 @@ def project(sets: Sequence[LinearSet], x) -> ProjectionBreakdown:
 
 
 def certify(bd: ProjectionBreakdown, x, tol: float = KKT_TOL) -> KktCertificate:
-    """KKT certificate of a breakdown against the sets its multipliers refer to."""
+    """KKT certificate of a breakdown against the sets its multipliers refer to.
+
+    The point must also lie in every input set within ``membership_bound``
+    at ``tol``.  A merged pair is certified against its merged halfspace,
+    which a near-dependent pair only approximates; a violation of an
+    input set makes the certificate invalid and raises
+    ``feasibility_residual`` to the worst violation.  For every other
+    breakdown the input sets are the certified sets, whose violations
+    beyond ``tol`` already fail the certificate, so the check changes
+    nothing there.
+    """
     lam = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Halfspace)]
     beta = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Hyperplane)]
-    return kkt_check(bd.sets, x, bd.point, lam, beta, tol)
+    cert = kkt_check(bd.sets, x, bd.point, lam, beta, tol)
+    p = bd.point
+    # |<p,u> - eta| for hyperplanes, <p,u> - eta for halfspaces
+    gaps = [float(np.dot(p, s.u)) - s.eta for s in bd.inputs]
+    gaps = [abs(g) if isinstance(s, Hyperplane) else g for s, g in zip(bd.inputs, gaps)]
+    if any(g > membership_bound(s, p, tol) for s, g in zip(bd.inputs, gaps)):
+        cert = replace(cert, feasibility_residual=max(cert.feasibility_residual, *gaps), valid=False)
+    return cert

@@ -65,6 +65,18 @@ def inner(x, y) -> float:
     return float(np.dot(xv, yv))
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each row pair: ``out[i] == a[i].dot(b[i])``, bit for bit.
+
+    numpy's matmul runs each (1, d) @ (d, 1) item as one BLAS ``ddot``,
+    the call ``ndarray.dot`` makes for a pair of vectors, so every row
+    gets the bits of the per-row dot.  ``(a * b).sum(-1)`` and ``einsum``
+    add in other orders and differ in the last bits on many rows;
+    ``np.vecdot`` matches too but needs numpy >= 2.0.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 class PairTag(enum.Enum):
     """How a pair of vectors relates: zero members, dependence, or the
     sign of their inner product when independent."""

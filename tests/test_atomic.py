@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyproj import (
+    DimensionMismatch,
     EmptySet,
     Halfspace,
     Hyperplane,
@@ -12,6 +13,7 @@ from polyproj import (
     project_hyperplane,
     project_onto,
 )
+from polyproj.atomic import BOUNDARY_TOL, SetBlock, project_rows
 
 coords = st.lists(
     st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=5
@@ -147,3 +149,97 @@ class TestProjectorProperties:
             point, cert = oracle_project([s], x)
             assert np.linalg.norm(project_onto(s, x) - point) <= 1e-9
             assert cert.valid
+
+
+def _mixed_block(rng, dim, n):
+    """Sets and points covering every path of a row projection.
+
+    Random normals at scales from 1e-3 to 1e3, zero-normal whole-space
+    hyperplanes and halfspaces, points inside, outside, within the
+    boundary tolerance of a halfspace, and exactly on a hyperplane.
+    """
+    sets, points = [], []
+    for _ in range(n):
+        x = rng.uniform(-3, 3, size=dim)
+        u = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+        case = int(rng.integers(7))
+        if case == 0:
+            sets.append(Hyperplane(np.zeros(dim), 0.0))
+        elif case == 1:
+            sets.append(Halfspace(np.zeros(dim), abs(rng.uniform(-2, 2))))
+        elif case == 2:
+            # within the boundary tolerance: outside by half the snapping bound
+            eta = float(x @ u) - 0.5 * BOUNDARY_TOL * float(np.linalg.norm(u) * np.linalg.norm(x))
+            sets.append(Halfspace(u, eta))
+        elif case == 3:
+            sets.append(Hyperplane(u, float(x @ u)))
+        else:
+            kind = Hyperplane if case == 4 else Halfspace
+            sets.append(kind(u, rng.uniform(-2, 2)))
+        points.append(x)
+    return sets, np.array(points)
+
+
+class TestProjectRows:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9])
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_rows_match_project_onto_bit_for_bit(self, dim, n):
+        rng = np.random.default_rng(100 * dim + n)
+        for _ in range(40):
+            sets, x = _mixed_block(rng, dim, n)
+            before = x.copy()
+            out = project_rows(SetBlock(sets), x)
+            expected = np.array([project_onto(s, row) for s, row in zip(sets, x)])
+            assert out.tobytes() == expected.tobytes()
+            assert x.tobytes() == before.tobytes()
+
+    def test_signed_zeros_match(self):
+        # A point on a hyperplane takes a step of +0.0, which turns a -0.0
+        # coordinate into +0.0 in the per-point projector; rows that stay
+        # keep their -0.0.
+        sets = [
+            Hyperplane([1.0, 1.0], 1.0),
+            Halfspace([1.0, 1.0], 5.0),
+            Hyperplane([0.0, 0.0], 0.0),
+            Halfspace([0.0, 0.0], 1.0),
+        ]
+        x = np.array([[-0.0, 1.0]] * 4)
+        out = project_rows(SetBlock(sets), x)
+        expected = np.array([project_onto(s, row) for s, row in zip(sets, x)])
+        assert out.tobytes() == expected.tobytes()
+        assert np.signbit(out[:, 0]).tolist() == [False, True, True, True]
+
+    def test_violation_equal_to_the_bound_stays(self):
+        # value == BOUNDARY_TOL * (1 + |eta| + |u| |x|) exactly: the
+        # per-point projector snaps (value <= bound), so the row stays too
+        a = 1e-12
+        for _ in range(5):
+            a = BOUNDARY_TOL * (1.0 + a)
+        w = Halfspace([1.0], 0.0)
+        assert a == BOUNDARY_TOL * (1.0 + 0.0 + 1.0 * a)
+        x = np.array([[a]])
+        assert project_rows(SetBlock([w]), x).tobytes() == x.tobytes()
+        assert project_onto(w, x[0]).tobytes() == x[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "empty", [Hyperplane([0.0, 0.0], 1.0), Halfspace([0.0, 0.0], -1.0)]
+    )
+    def test_empty_set_rejected_when_built(self, empty):
+        with pytest.raises(EmptySet):
+            SetBlock([Halfspace([1.0, 0.0], 0.0), empty])
+
+    def test_mixed_dimensions_rejected_when_built(self):
+        with pytest.raises(DimensionMismatch):
+            SetBlock([Halfspace([1.0, 0.0], 0.0), Hyperplane([1.0, 0.0, 0.0], 0.0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        block = SetBlock([Halfspace([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)])
+        with pytest.raises(ValueError):
+            project_rows(block, [[1.0, 2.0], [bad, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2), (2,), (2, 2, 1)])
+    def test_shape_mismatch_rejected(self, shape):
+        block = SetBlock([Halfspace([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)])
+        with pytest.raises(DimensionMismatch):
+            project_rows(block, np.ones(shape))

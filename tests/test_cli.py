@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from polyproj.cli import main
 from polyproj import classify_pair
-from polyproj.instances import generate_instance
+from polyproj.atomic import project_onto
+from polyproj.cli import ExperimentConfig, _experiment_rates, main
+from polyproj.closed_form import project_halfspace_pair, project_hyperplane_halfspace
+from polyproj.instances import generate_instance, halfspace_pair, hyperplane_halfspace, random_point
+from polyproj.iterate import RATE_SLACK, rate_gamma
 
 
 def run(argv, capsys):
@@ -359,3 +362,55 @@ class TestExperiment:
         assert out == ""
         assert "JSON object" in err
         assert not out_dir.exists()
+
+
+def _per_point_rates(rng, config, rows, counts):
+    """The rate sweep as one loop of per-point projections per trial."""
+    for trial in range(config.trials):
+        x = random_point(rng, config.dim)
+        if trial % 2 == 0:
+            family = "halfspace_pair_rate"
+            first, second = halfspace_pair(rng, config.dim, "negative")
+            reference = project_halfspace_pair(first, second, x).point
+        else:
+            family = "plane_halfspace_rate"
+            flavor = "negative" if rng.uniform() < 0.5 else "positive"
+            first, second = hyperplane_halfspace(rng, config.dim, flavor)
+            reference = project_hyperplane_halfspace(first, second, x).point
+        gamma = rate_gamma(first.u, second.u)
+        base = math.sqrt(float((x - reference).dot(x - reference)))
+        current = x
+        all_ok = True
+        for k in range(1, config.k_max + 1):
+            current = project_onto(second, project_onto(first, current))
+            observed = math.sqrt(float((current - reference).dot(current - reference)))
+            bound = gamma**k * base
+            ok = observed <= bound + RATE_SLACK
+            all_ok = all_ok and ok
+            rows.append([trial, gamma, k, observed, bound, ok])
+        total_ok = counts.setdefault(family, [0, 0])
+        total_ok[0] += 1
+        total_ok[1] += 1 if all_ok else 0
+
+
+class TestRateSweep:
+    @pytest.mark.parametrize("seed", [1, 7, 12345])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_rows_match_the_per_point_loop(self, seed, dim):
+        for trials in (0, 1, 2, 25):
+            for k_max in (1, 50):
+                config = ExperimentConfig(seed=seed, dim=dim, trials=trials, k_max=k_max)
+                results = []
+                for sweep in (_experiment_rates, _per_point_rates):
+                    rng = np.random.default_rng(seed)
+                    rows, counts = [], {}
+                    sweep(rng, config, rows, counts)
+                    results.append((rows, counts, rng.bit_generator.state))
+                (rows, counts, state), (ref_rows, ref_counts, ref_state) = results
+                assert len(rows) == trials * k_max
+                # equal values with equal Python types, so the CSV cells are equal
+                assert [[type(c) for c in r] for r in rows] == [[type(c) for c in r] for r in ref_rows]
+                # repr tells every float apart that the CSV writer does, -0.0 included
+                assert [[repr(c) for c in r] for r in rows] == [[repr(c) for c in r] for r in ref_rows]
+                assert counts == ref_counts
+                assert state == ref_state

@@ -564,6 +564,34 @@ class TestProjectAndCertify:
             *Region,
         }
 
+    def test_near_dependent_merge_is_checked_against_the_input_sets(self):
+        # 1 - cos(1e-5) is within the dependence tolerance, so the pair
+        # merges into x0 <= 0; the merged point (0, 100) violates the
+        # second input set by 100 sin(1e-5) ~ 1e-3
+        theta = 1e-5
+        w1, w2 = Halfspace([1.0, 0.0], 0.0), Halfspace([np.cos(theta), np.sin(theta)], 0.0)
+        x = [5.0, 100.0]
+        out = project([w1, w2], x)
+        assert out.case == "merged_halfspace"
+        assert out.inputs == (w1, w2)
+        assert len(out.sets) == 1 and len(out.coefficients) == 1
+        cert = certify(out, x)
+        assert cert.valid is False
+        assert cert.feasibility_residual == pytest.approx(100 * np.sin(theta))
+        # the merged halfspace alone certifies the point
+        merged = kkt_check(out.sets, x, out.point, out.coefficients, [])
+        assert merged.valid and merged.feasibility_residual == 0.0
+
+    def test_inputs_default_to_the_certified_sets(self):
+        rng = np.random.default_rng(82)
+        for sets, x in _family_instances(rng):
+            try:
+                out = project(sets, x)
+            except EmptySet:
+                continue
+            if out.case != "merged_halfspace":
+                assert out.inputs is out.sets
+
     def test_unsupported_families_raise(self):
         w = [Halfspace(u, 1.0) for u in np.eye(3)]
         h = [Hyperplane([1.0, 1.0, 0.0], 0.0), Hyperplane([0.0, 1.0, 1.0], 0.0)]

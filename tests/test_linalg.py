@@ -15,7 +15,7 @@ from polyproj import (
     max_independent_subset,
     solve_gram,
 )
-from polyproj.linalg import solve_gram_stack
+from polyproj.linalg import row_dots, solve_gram_stack
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0).map(
     lambda v: 0.0 if abs(v) < 1e-6 else v
@@ -153,6 +153,19 @@ class TestSolveGramStack:
             assert np.array_equal(beta[i], solve_gram(list(a[i]), b[i]))
         with pytest.raises(SingularGram):
             solve_gram(list(a[2]), b[2])
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9, 17])
+    def test_each_row_has_the_bits_of_its_dot(self, dim):
+        # a summation in another order, (a * b).sum(1) or einsum, differs
+        # from the per-row dot in the last bits on many of these rows
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(2000, dim)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1))
+        b = rng.normal(size=(2000, dim))
+        expected = np.array([a[i].dot(b[i]) for i in range(len(a))])
+        assert row_dots(a, b).tobytes() == expected.tobytes()
+        assert row_dots(a, a).tobytes() == np.array([v.dot(v) for v in a]).tobytes()
 
 
 class TestGramMatrix:
