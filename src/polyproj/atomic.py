@@ -12,9 +12,30 @@ needless perturbation).
 A block of points has two paths.  One point goes through
 :func:`project_onto`, which costs less per call.  Many points, each onto
 its own set, go through :func:`project_rows` on a :class:`SetBlock`:
-row i of the block is projected onto set i in a few numpy calls, and
-gets the bits :func:`project_onto` gives it alone (``linalg.row_dots``
-takes each row's inner product with the per-point ``dot``).
+row i of the block is projected onto set i in a few numpy calls.
+``closed_form.project_pair_rows`` does the same for pairs of sets.
+
+Bit for bit.  A row kernel gives each row the bits the per-point path
+gives it alone.  These rules keep it so, and the row kernels point here
+rather than restate them:
+
+* Inner products come from ``linalg.row_dots``, which gives each row the
+  bits of the per-point ``dot``.
+* numpy's elementwise arithmetic rounds as Python's float arithmetic
+  does, so each row evaluates the per-point expression in the same
+  order, with no term added, dropped or regrouped.  A branch computing
+  ``x - c1 * u1`` stays apart from one computing ``x - c1 * u1 - c2 *
+  u2``: subtracting ``0.0 * u2`` turns a -0.0 coordinate into +0.0.
+* Python's ``min(a, b)`` is ``np.where(b < a, b, a)`` and ``max(v,
+  0.0)`` is ``np.where(0.0 > v, 0.0, v)``.  Both return the first
+  argument on a tie, so ``max(-0.0, 0.0)`` stays -0.0, where
+  ``np.maximum`` gives +0.0.
+* IEEE negation is exact, so the hyperplane step
+  ``x + (eta - <x,u>) / |u|^2 * u`` has the bits of the halfspace step
+  ``x - (<x,u> - eta) / |u|^2 * u``.
+* Every division runs only on the rows of its branch (``where=``), so
+  no row is divided by a zero |u|^2 and no row of another branch raises
+  a warning.
 """
 
 from __future__ import annotations
@@ -79,13 +100,14 @@ def project_onto(s: LinearSet, x) -> np.ndarray:
 
 
 class SetBlock:
-    """Linear sets stacked row by row for :func:`project_rows`.
+    """Linear sets stacked row by row for the row kernels.
 
     ``u`` (n, d), ``eta``, ``norm_sq`` and ``norm`` (n,) stack each set's
-    own values; ``always_moves`` marks the hyperplanes with a nonzero
-    normal, the rows whose projection always steps.  Raises EmptySet if
-    any set is empty and DimensionMismatch unless all share one
-    dimension.  The arrays are read-only, so they cannot go stale.
+    own values; ``is_hyperplane`` marks the hyperplane rows and
+    ``always_moves`` those with a nonzero normal, the rows whose
+    projection always steps.  Raises EmptySet if any set is empty and
+    DimensionMismatch unless all share one dimension.  The arrays are
+    read-only, so they cannot go stale.
     """
 
     def __init__(self, sets: Sequence[LinearSet]):
@@ -101,35 +123,46 @@ class SetBlock:
         self.eta = np.array([s.eta for s in sets])
         self.norm_sq = np.array([s.norm_sq for s in sets])
         self.norm = np.array([s.norm for s in sets])
-        self.always_moves = np.array(
-            [isinstance(s, Hyperplane) and not s.has_zero_normal for s in sets]
-        )
-        for arr in (self.u, self.eta, self.norm_sq, self.norm, self.always_moves):
+        self.is_hyperplane = np.array([isinstance(s, Hyperplane) for s in sets])
+        self.always_moves = self.is_hyperplane & (self.norm_sq != 0.0)
+        for arr in (self.u, self.eta, self.norm_sq, self.norm, self.is_hyperplane, self.always_moves):
             arr.setflags(write=False)
+
+    def points(self, x) -> np.ndarray:
+        """``x`` as a float block of the shape of ``u``, with finite coordinates."""
+        xb = np.asarray(x, dtype=float)
+        if xb.shape != self.u.shape:
+            raise DimensionMismatch(f"point block has shape {xb.shape}, sets have {self.u.shape}")
+        if not np.isfinite(xb).all():
+            raise ValueError("coordinates must be finite")
+        return xb
+
+
+def _step_rows(u, eta, norm_sq, norm, always_moves, xb) -> tuple[np.ndarray, np.ndarray]:
+    """The step of :func:`project_rows` on stacked set arrays; returns (points, moved).
+
+    With ``gap = eta - <x,u>``, a row moves to ``x + gap / |u|^2 * u``
+    when ``always_moves`` is set for it or when ``-gap`` is above
+    ``membership_bound`` at ``BOUNDARY_TOL``, which is when
+    :func:`halfspace_step` moves it.  Other rows come back unchanged.
+    """
+    gap = eta - row_dots(xb, u)
+    bound = BOUNDARY_TOL * (1.0 + np.abs(eta) + norm * np.sqrt(row_dots(xb, xb)))
+    moved = always_moves | (gap < -bound)
+    step = np.divide(gap, norm_sq, out=np.zeros_like(gap), where=moved)
+    return np.where(moved[:, None], xb + step[:, None] * u, xb), moved
 
 
 def project_rows(block: SetBlock, x) -> np.ndarray:
     """Project row i of the point block ``x`` onto set i of ``block``.
 
     ``x`` must have the block's shape (n, d) and finite coordinates.
-    Every row gets the bits :func:`project_onto` gives it alone.  With
-    ``gap = eta - <x,u>``, a row moves to ``x + gap / |u|^2 * u``, the
-    hyperplane step, when its set is a hyperplane with a nonzero normal
-    or a halfspace with ``-gap`` above ``membership_bound`` at
-    ``BOUNDARY_TOL``.  For such a halfspace row ``gap`` is nonzero, and
-    IEEE negation is exact, so the step has the bits of the halfspace
-    step ``x - (-gap) / |u|^2 * u``.  Other rows come back unchanged:
-    a zero-normal row has ``gap`` equal to ``eta`` (a halfspace, never
+    Every row gets the bits :func:`project_onto` gives it alone (see the
+    module docstring).  A hyperplane row with a nonzero normal always
+    steps; a halfspace row steps when :func:`halfspace_step` would.  A
+    zero-normal row has ``gap`` equal to ``eta`` (a halfspace, never
     negative once nonempty) or zero (a whole-space hyperplane), so it
     never moves and is never divided by its zero ``|u|^2``.
     """
-    xb = np.asarray(x, dtype=float)
-    if xb.shape != block.u.shape:
-        raise DimensionMismatch(f"point block has shape {xb.shape}, sets have {block.u.shape}")
-    if not np.isfinite(xb).all():
-        raise ValueError("coordinates must be finite")
-    gap = block.eta - row_dots(xb, block.u)
-    bound = BOUNDARY_TOL * (1.0 + np.abs(block.eta) + block.norm * np.sqrt(row_dots(xb, xb)))
-    moves = block.always_moves | (gap < -bound)
-    step = np.divide(gap, block.norm_sq, out=np.zeros_like(gap), where=moves)
-    return np.where(moves[:, None], xb + step[:, None] * block.u, xb)
+    xb = block.points(x)
+    return _step_rows(block.u, block.eta, block.norm_sq, block.norm, block.always_moves, xb)[0]

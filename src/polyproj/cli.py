@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import certify, project, project_halfspace_pair, project_hyperplane_halfspace
+from .closed_form import certify, project, project_pair_rows
 from .errors import EmptySet, PolyprojError
 from .instances import (
     generate_instance,
@@ -41,8 +40,8 @@ from .sets import (
     instance_to_dict,
     load_instance,
 )
-from .atomic import SetBlock, project_onto, project_rows
-from .linalg import row_dots
+from .atomic import SetBlock, project_rows
+from .linalg import _norm, row_dots
 
 
 def certificate_tol() -> float:
@@ -173,22 +172,19 @@ def _load_config(path) -> ExperimentConfig:
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     if "tolerances" in raw:
         raise ValueError("config key 'tolerances' is not supported; experiment thresholds are fixed")
-    return ExperimentConfig(
-        seed=int(raw.get("seed", 0)),
-        dim=int(raw.get("dim", 2)),
-        trials=int(raw.get("trials", 100)),
-        case_filter=raw.get("case_filter"),
-        k_max=int(raw.get("k_max", 50)),
-    )
-
-
-def _norm(v: np.ndarray) -> float:
-    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
-    return math.sqrt(float(v.dot(v)))
+    numbers = {
+        key: raw.get(key, default)
+        for key, default in (("seed", 0), ("dim", 2), ("trials", 100), ("k_max", 50))
+    }
+    for key, value in numbers.items():
+        # JSON reads 2.7 as a float and true as a bool, neither of which counts
+        if type(value) is not int:
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return ExperimentConfig(case_filter=raw.get("case_filter"), **numbers)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    # _norm of each row, bit for bit
+    # linalg._norm of each row, bit for bit
     return np.sqrt(row_dots(v, v))
 
 
@@ -209,18 +205,17 @@ def _experiment_rates(rng, config, rows, counts):
         if trial % 2 == 0:
             family = "halfspace_pair_rate"
             first, second = halfspace_pair(rng, dim, "negative")
-            reference = project_halfspace_pair(first, second, x).point
         else:
             family = "plane_halfspace_rate"
             flavor = "negative" if rng.uniform() < 0.5 else "positive"
             first, second = hyperplane_halfspace(rng, dim, flavor)
-            reference = project_hyperplane_halfspace(first, second, x).point
-        drawn.append((family, rate_gamma(first.u, second.u), first, second, x, reference))
+        drawn.append((family, rate_gamma(first.u, second.u), first, second, x))
     if not drawn:
         return
-    families, gammas, firsts, seconds, points, references = zip(*drawn)
+    families, gammas, firsts, seconds, points = zip(*drawn)
     first_block, second_block = SetBlock(firsts), SetBlock(seconds)
-    current, reference = np.array(points), np.array(references)
+    current = np.array(points)
+    reference = project_pair_rows(first_block, second_block, current)
     bases = _row_norms(current - reference).tolist()
     observed = []
     for _ in range(config.k_max):
@@ -241,16 +236,15 @@ def _experiment_rates(rng, config, rows, counts):
         _tally(counts, family, all_ok)
 
 
-def _one_exactness_row(first, second, x, reference):
-    composed = project_onto(second, project_onto(first, x))
-    return _norm(composed - reference)
-
-
 def _experiment_exactness(rng, config, rows, counts, include_exact, include_feasible):
+    # Draw every trial first, in the per-trial order.  Each composition
+    # row is (trial, family, first set, second set, point, reference
+    # row); a _rev row composes its _fwd pair in the other order and
+    # shares its closed-form reference, and one_step_feasible has none.
     dim = config.dim
+    drawn, ref_pairs = [], []
     for trial in range(config.trials):
         x = random_point(rng, dim)
-        subrows = []
         if include_exact:
             dependent = "dependent_positive" if rng.uniform() < 0.5 else "dependent_negative"
             for flavor, label in (
@@ -258,40 +252,53 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
                 ("orthogonal", "orthogonal_halfspace_pair"),
             ):
                 w1, w2 = halfspace_pair(rng, dim, flavor)
-                ref = project_halfspace_pair(w1, w2, x).point
-                dev = _one_exactness_row(w1, w2, x, ref)
-                subrows.append((label, dev, dev <= EXACTNESS_TOL))
-
+                drawn.append((trial, label, w1, w2, x, len(ref_pairs)))
+                ref_pairs.append((w1, w2, x))
             for flavor, label in (
                 ("dependent_positive", "dependent_plane_halfspace"),
                 ("orthogonal", "orthogonal_plane_halfspace"),
             ):
                 h1, w2 = hyperplane_halfspace(rng, dim, flavor)
-                ref = project_hyperplane_halfspace(h1, w2, x).point
-                dev_f = _one_exactness_row(h1, w2, x, ref)
-                dev_r = _one_exactness_row(w2, h1, x, ref)
-                subrows.append((label + "_fwd", dev_f, dev_f <= EXACTNESS_TOL))
-                subrows.append((label + "_rev", dev_r, dev_r <= EXACTNESS_TOL))
+                drawn.append((trial, label + "_fwd", h1, w2, x, len(ref_pairs)))
+                drawn.append((trial, label + "_rev", w2, h1, x, len(ref_pairs)))
+                ref_pairs.append((h1, w2, x))
         if include_feasible:
             w1, w2 = halfspace_pair(rng, dim, "positive")
-            composed = project_onto(w2, project_onto(w1, x))
-            violation = max(
-                float(np.dot(composed, w1.u)) - w1.eta,
-                float(np.dot(composed, w2.u)) - w2.eta,
-                0.0,
-            )
+            drawn.append((trial, "one_step_feasible", w1, w2, x, None))
+    if not drawn:
+        return
+    trials, families, firsts, seconds, points, ref_rows = zip(*drawn)
+    first_block, second_block = SetBlock(firsts), SetBlock(seconds)
+    composed = project_rows(second_block, project_rows(first_block, np.array(points)))
+    deviations = {}
+    if ref_pairs:
+        ref_firsts, ref_seconds, ref_points = zip(*ref_pairs)
+        references = project_pair_rows(
+            SetBlock(ref_firsts), SetBlock(ref_seconds), np.array(ref_points)
+        )
+        exact = [i for i, r in enumerate(ref_rows) if r is not None]
+        misses = composed[exact] - references[[ref_rows[i] for i in exact]]
+        deviations = dict(zip(exact, _row_norms(misses).tolist()))
+    # one_step_feasible's violation: max(<c,u1> - eta1, <c,u2> - eta2, 0.0)
+    gaps1 = (row_dots(composed, first_block.u) - first_block.eta).tolist()
+    gaps2 = (row_dots(composed, second_block.u) - second_block.eta).tolist()
+    for i, (trial, family, first, second) in enumerate(zip(trials, families, firsts, seconds)):
+        if i in deviations:
+            dev = deviations[i]
+            ok = dev <= EXACTNESS_TOL
+        else:
+            dev = max(gaps1[i], gaps2[i], 0.0)
             ok = (
-                contains(w1, composed) is not Membership.OUTSIDE
-                and contains(w2, composed) is not Membership.OUTSIDE
+                contains(first, composed[i]) is not Membership.OUTSIDE
+                and contains(second, composed[i]) is not Membership.OUTSIDE
             )
-            subrows.append(("one_step_feasible", violation, ok))
-        for family, dev, ok in subrows:
-            rows.append([trial, family, dev, ok])
-            _tally(counts, family, ok)
+        rows.append([trial, family, dev, ok])
+        _tally(counts, family, ok)
 
 
 def _experiment_dykstra(rng, config, rows, counts):
     dim = config.dim
+    drawn = []
     for trial in range(config.trials):
         while True:
             flavor = rng.choice(["negative", "positive", "orthogonal"])
@@ -302,8 +309,12 @@ def _experiment_dykstra(rng, config, rows, counts):
                 break
         w1 = Halfspace(u1, random_offset(rng))
         w2 = Halfspace(u2, random_offset(rng))
-        x = random_point(rng, dim)
-        reference = project_halfspace_pair(w1, w2, x).point
+        drawn.append((w1, w2, random_point(rng, dim)))
+    if not drawn:
+        return
+    firsts, seconds, points = zip(*drawn)
+    references = project_pair_rows(SetBlock(firsts), SetBlock(seconds), np.array(points))
+    for trial, (w1, w2, x, reference) in enumerate(zip(firsts, seconds, points, references)):
         trace = dykstra([w1, w2], x, max_sweeps=10_000, tol=1e-12)
         deviation = _norm(trace.final - reference)
         ok = deviation <= DYKSTRA_MATCH_TOL

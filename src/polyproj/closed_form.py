@@ -12,6 +12,10 @@ Three intersections admit explicit formulas:
   normal is either strictly positive (both boundaries active) or zero
   (the plane projection already satisfies the halfspace).
 
+The two pair projectors also come as one row kernel,
+:func:`project_pair_rows`, which projects a block of points, each onto
+its own pair, with the bits the per-point projectors give.
+
 Every projector returns a :class:`ProjectionBreakdown` carrying the
 projected point together with the sets it used and a multiplier on
 each, so :func:`certify` can verify the result independently through
@@ -27,12 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import halfspace_step
-from .errors import DependentNormals, EmptySet
-from .linalg import PairTag, as_vector, classify_pair, solve_gram
+from .atomic import SetBlock, _step_rows, halfspace_step
+from .errors import DependentNormals, DimensionMismatch, EmptySet, ZeroNormal
+from .linalg import DEPENDENCE_TOL, PairTag, as_vector, classify_pair, row_dots, solve_gram
 from .oracle import KKT_TOL, KktCertificate, kkt_check
 from .sets import (
     Feasibility,
+    _TINY,
     Halfspace,
     Hyperplane,
     LinearSet,
@@ -272,6 +277,83 @@ def project_hyperplane_halfspace(h1: Hyperplane, w2: Halfspace, x) -> Projection
         region=Region.NOT_IN_C,
         ill_conditioned=flag,
     )
+
+
+def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
+    """Project row i of the point block ``x`` onto the pair (first[i], second[i]).
+
+    Each pair is two halfspaces or a hyperplane and a halfspace, in that
+    order; both kinds may share a block.  Row i gets the point
+    :func:`project_halfspace_pair` or :func:`project_hyperplane_halfspace`
+    gives it alone, bit for bit (see :mod:`polyproj.atomic`); the
+    multipliers are not returned.  Like those projectors it raises
+    EmptySet for a contradictory dependent pair and ZeroNormal when a
+    merged normal underflows.
+    """
+    if second.is_hyperplane.any():
+        raise ValueError("each pair must be two halfspaces or a hyperplane and a halfspace")
+    if first.u.shape != second.u.shape:
+        raise DimensionMismatch(f"set blocks have shapes {first.u.shape} and {second.u.shape}")
+    xb = first.points(x)
+    u1, u2 = first.u, second.u
+    n1, n2, n1sq, n2sq = first.norm, second.norm, first.norm_sq, second.norm_sq
+    plane = first.is_hyperplane
+    a1 = row_dots(xb, u1) - first.eta
+    a2 = row_dots(xb, u2) - second.eta
+    q = row_dots(u1, u2)
+
+    # classify_pair: a zero member makes the pair dependent
+    zero1, zero2 = n1 == 0.0, n2 == 0.0
+    scale = n1 * n2
+    dependent = zero1 | zero2 | (scale - np.abs(q) <= DEPENDENCE_TOL * scale)
+    both_nonzero = dependent & ~zero1 & ~zero2
+    aligned = q > 0
+    merged = both_nonzero & ~plane & aligned
+    slab = both_nonzero & ~plane & ~aligned
+    plane_sign_eta = np.where(aligned, first.eta, -first.eta)
+    if (slab & (first.eta * n2 + second.eta * n1 < 0.0)).any() or (
+        both_nonzero & plane & (plane_sign_eta * n2 > second.eta * n1)
+    ).any():
+        raise EmptySet("empty intersection")
+
+    # multipliers: (g1, g2) of an independent pair's region, and g1 of a
+    # plane projection, which a dependent plane divides by n1*n1
+    halves = ~dependent & ~plane
+    inside = (a1 <= 0.0) & (a2 <= 0.0)
+    c1 = halves & ~inside & (a1 > 0.0) & (n1sq * a2 <= q * a1)
+    c2 = halves & ~inside & ~c1 & (a2 > 0.0) & (n2sq * a1 <= q * a2)
+    c3 = halves & ~inside & ~c1 & ~c2
+    in_c = ~dependent & plane & (a2 * n1sq - a1 * q > 0.0)
+    not_in_c = ~dependent & plane & ~in_c
+    plane_only = dependent & plane & ~zero1
+    det = n1sq * n2sq - q * q
+    g1, g2 = np.zeros_like(a1), np.zeros_like(a1)
+    np.divide(n2sq * a1 - q * a2, det, out=g1, where=c3 | in_c)
+    np.divide(n1sq * a2 - q * a1, det, out=g2, where=c3 | in_c)
+    g1 = np.where(c3 & (0.0 > g1), 0.0, g1)  # max(g1, 0.0) on C3
+    g2 = np.where(c3 & (0.0 > g2), 0.0, g2)
+    np.divide(a1, n1sq, out=g1, where=c1 | not_in_c)
+    np.divide(a2, n2sq, out=g2, where=c2)
+    np.divide(a1, n1 * n1, out=g1, where=plane_only)
+
+    # halfspace steps onto the second set, and onto the first set or, on
+    # merged rows, Halfspace(n2 * u1, min(eta1 * n2, eta2 * n1)); where
+    # mu is u1, row_dots gives its |u1|^2 bit for bit
+    mu = np.where(merged[:, None], n2[:, None] * u1, u1)
+    mu_sq = row_dots(mu, mu)
+    if (merged & (mu_sq < _TINY) & mu.any(axis=1)).any():
+        raise ZeroNormal("merged normal is nonzero but its squared norm underflows")
+    e1, e2 = first.eta * n2, second.eta * n1
+    mu_eta = np.where(merged, np.where(e2 < e1, e2, e1), first.eta)
+    onto_first, moved = _step_rows(mu, mu_eta, mu_sq, np.sqrt(mu_sq), False, xb)
+    onto_second = _step_rows(u2, second.eta, n2sq, n2, False, xb)[0]
+    take_first = ~plane & ~zero1 & (zero2 | merged | (slab & moved))
+    take_second = (dependent & zero1) | (slab & ~moved)
+
+    one_normal = xb - g1[:, None] * u1
+    out = np.where(take_second[:, None], onto_second, onto_first)
+    out = np.where((not_in_c | plane_only)[:, None], one_normal, out)
+    return np.where((halves | in_c)[:, None], one_normal - g2[:, None] * u2, out)
 
 
 def project_hyperplanes(planes: Sequence[Hyperplane], x) -> ProjectionBreakdown:

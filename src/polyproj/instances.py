@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _norm
 from .sets import Halfspace, Hyperplane, Instance
 
 FRACTION_DEPENDENT = 0.10
@@ -35,7 +36,7 @@ _POINT_SCALE = 3.0
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         v = rng.normal(size=dim)
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         if n > 1e-6:
             return v / n
 
@@ -65,7 +66,7 @@ def pair_of_normals(
         while True:
             v = unit_vector(rng, dim)
             w = v - float(np.dot(v, u1)) * u1
-            n = float(np.linalg.norm(w))
+            n = _norm(w)
             if n > 1e-6:
                 return u1, w / n
     if flavor in ("negative", "positive"):
@@ -101,8 +102,8 @@ def _nonempty_offsets(rng: np.random.Generator, u1, u2, flavor: str, plane_first
     eta1 = random_offset(rng)
     eta2 = random_offset(rng)
     if flavor == "dependent_negative" or (plane_first and flavor == "dependent_positive"):
-        n1 = float(np.linalg.norm(u1))
-        n2 = float(np.linalg.norm(u2))
+        n1 = _norm(u1)
+        n2 = _norm(u2)
         sign = 1.0 if flavor == "dependent_positive" else -1.0
         while sign * eta1 * n2 > eta2 * n1:
             eta1 = random_offset(rng)

@@ -17,14 +17,13 @@ from pair classification to expected behavior.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptySet, ZeroNormal
-from .linalg import PairClass, PairTag, as_vector, classify_pair
+from .linalg import PairClass, PairTag, _norm, as_vector, classify_pair
 from .sets import Halfspace, Hyperplane, LinearSet, is_empty
 from .atomic import project_onto
 
@@ -33,11 +32,6 @@ STEP_TOL = 1e-12
 RATE_SLACK = 1e-9
 
 FIXPOINT_TOL = 1e-8
-
-
-def _norm(v: np.ndarray) -> float:
-    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
-    return math.sqrt(float(v.dot(v)))
 
 
 class StopReason(enum.Enum):
@@ -78,11 +72,29 @@ def write_csv(path, header, rows) -> None:
 
     Floats get 17 significant digits so they read back exactly; booleans
     are written ``true``/``false``; anything else goes through ``str``.
+    Each row shape (the types of its cells) gets one ``%`` template:
+    ``"%.17g" % v`` is ``format(v, ".17g")`` for a float, ``"%d"`` is
+    ``str`` for an int, and a cell of any other type (bool, numpy
+    scalars, subclasses) goes through :func:`_csv_cell`.
     """
     lines = [",".join(header)]
-    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    templates = {}
+    for row in rows:
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            others = [i for i, kind in enumerate(shape) if kind not in _CELL_FORMATS]
+            templates[shape] = (",".join(_CELL_FORMATS.get(kind, "%s") for kind in shape), others)
+        template, others = templates[shape]
+        if others:
+            row = list(row)
+            for i in others:
+                row[i] = _csv_cell(row[i])
+        lines.append(template % tuple(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
 
 
 def _csv_cell(value) -> str:

@@ -65,15 +65,25 @@ def inner(x, y) -> float:
     return float(np.dot(xv, yv))
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 1-D float array, bit for bit, without its overhead."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product of each row pair: ``out[i] == a[i].dot(b[i])``, bit for bit.
 
-    numpy's matmul runs each (1, d) @ (d, 1) item as one BLAS ``ddot``,
-    the call ``ndarray.dot`` makes for a pair of vectors, so every row
-    gets the bits of the per-row dot.  ``(a * b).sum(-1)`` and ``einsum``
+    The row kernels rest on this (see :mod:`polyproj.atomic`).  numpy's
+    matmul runs each (1, d) @ (d, 1) item as one BLAS ``ddot``, the call
+    ``ndarray.dot`` makes for a pair of vectors, so every row gets the
+    bits of the per-row dot.  ``(a * b).sum(-1)`` and ``einsum``
     add in other orders and differ in the last bits on many rows;
-    ``np.vecdot`` matches too but needs numpy >= 2.0.
+    ``np.vecdot`` matches too but needs numpy >= 2.0.  A one-element
+    ``dot`` is a plain product, which keeps a -0.0 that matmul's sum from
+    +0.0 would lose, so a single column is multiplied instead.
     """
+    if a.shape[-1] == 1:
+        return a[..., 0] * b[..., 0]
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -126,9 +136,8 @@ def classify_pair(u1, u2) -> PairClass:
     v1 = as_vector(u1)
     v2 = as_vector(u2)
     check_same_dim(v1, v2)
-    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
-    n1 = math.sqrt(float(v1.dot(v1)))
-    n2 = math.sqrt(float(v2.dot(v2)))
+    n1 = _norm(v1)
+    n2 = _norm(v2)
     if n1 == 0.0 and n2 == 0.0:
         return PairClass(PairTag.BOTH_ZERO, 0.0)
     if n1 == 0.0:
@@ -226,9 +235,8 @@ def extend_basis(q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     if len(q):
         r = v - (q @ v) @ q
         r = r - (q @ r) @ q
-    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
-    rnorm = math.sqrt(r.dot(r))
-    if rnorm <= DEPENDENCE_TOL * math.sqrt(v.dot(v)):
+    rnorm = _norm(r)
+    if rnorm <= DEPENDENCE_TOL * _norm(v):
         return None
     return r / rnorm
 

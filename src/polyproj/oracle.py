@@ -31,14 +31,13 @@ feasibility, dual nonnegativity, and complementary slackness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
-from .linalg import as_vector, solve_gram_stack
+from .linalg import _norm, as_vector, solve_gram_stack
 from .sets import Halfspace, Hyperplane, LinearSet, add_row, checked_point, is_empty
 
 MAX_INEQUALITIES = 20
@@ -66,11 +65,6 @@ class KktCertificate:
     complementarity_residual: float
     tol: float
     valid: bool
-
-
-def _norm(v: np.ndarray) -> float:
-    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
-    return math.sqrt(float(v.dot(v)))
 
 
 def _split(sets: Sequence[LinearSet]):

@@ -41,7 +41,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroNormal
-from .linalg import DEPENDENCE_TOL, as_vector, expansion_coefficients, extend_basis
+from .linalg import DEPENDENCE_TOL, _norm, as_vector, expansion_coefficients, extend_basis
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -122,8 +122,7 @@ class Membership(enum.Enum):
 
 def membership_bound(s: LinearSet, x: np.ndarray, tol: float) -> float:
     """``tol * (1 + |eta| + |u| |x|)`` for a 1-D float array ``x``."""
-    # sqrt of a dot product: np.linalg.norm's arithmetic without its overhead
-    return tol * (1.0 + abs(s.eta) + s.norm * math.sqrt(float(x.dot(x))))
+    return tol * (1.0 + abs(s.eta) + s.norm * _norm(x))
 
 
 def checked_point(sets: Sequence[LinearSet], x) -> np.ndarray:

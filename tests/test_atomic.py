@@ -209,6 +209,15 @@ class TestProjectRows:
         assert out.tobytes() == expected.tobytes()
         assert np.signbit(out[:, 0]).tolist() == [False, True, True, True]
 
+    def test_signed_zero_dot_in_one_dimension(self):
+        # <x,u> = -0.0 * 1.0 is -0.0, so the step (-0.0 - -0.0) / 1 is +0.0
+        # and the per-point projector returns +0.0
+        sets = [Hyperplane([1.0], -0.0), Hyperplane([-1.0], 0.0)]
+        x = np.array([[-0.0], [-0.0]])
+        out = project_rows(SetBlock(sets), x)
+        expected = np.array([project_onto(s, row) for s, row in zip(sets, x)])
+        assert out.tobytes() == expected.tobytes()
+
     def test_violation_equal_to_the_bound_stays(self):
         # value == BOUNDARY_TOL * (1 + |eta| + |u| |x|) exactly: the
         # per-point projector snaps (value <= bound), so the row stays too

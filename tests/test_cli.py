@@ -6,10 +6,26 @@ import pytest
 
 from polyproj import classify_pair
 from polyproj.atomic import project_onto
-from polyproj.cli import ExperimentConfig, _experiment_rates, main
+from polyproj.cli import (
+    DYKSTRA_MATCH_TOL,
+    EXACTNESS_TOL,
+    ExperimentConfig,
+    _experiment_dykstra,
+    _experiment_exactness,
+    _experiment_rates,
+    main,
+)
 from polyproj.closed_form import project_halfspace_pair, project_hyperplane_halfspace
-from polyproj.instances import generate_instance, halfspace_pair, hyperplane_halfspace, random_point
-from polyproj.iterate import RATE_SLACK, rate_gamma
+from polyproj.instances import (
+    generate_instance,
+    halfspace_pair,
+    hyperplane_halfspace,
+    pair_of_normals,
+    random_offset,
+    random_point,
+)
+from polyproj.iterate import RATE_SLACK, BehaviorTag, dykstra, rate_gamma
+from polyproj.sets import Halfspace, Membership, contains
 
 
 def run(argv, capsys):
@@ -352,6 +368,19 @@ class TestExperiment:
         assert "tolerances" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("trials", 2.7), ("k_max", 3.9), ("seed", 7.0), ("dim", 3.5), ("trials", True), ("seed", "7")],
+    )
+    def test_non_integer_numbers_rejected(self, tmp_path, capsys, key, value):
+        path = self._write_config(tmp_path, **{key: value})
+        out_dir = tmp_path / "x"
+        code, out, err = run(["experiment", "--config", path, "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert key in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("content", ["[]", "3", '"seed"', "null"])
     def test_non_object_config_rejected(self, tmp_path, capsys, content):
         path = tmp_path / "config.json"
@@ -414,3 +443,110 @@ class TestRateSweep:
                 assert [[repr(c) for c in r] for r in rows] == [[repr(c) for c in r] for r in ref_rows]
                 assert counts == ref_counts
                 assert state == ref_state
+
+
+def _norm(v):
+    return math.sqrt(float(v.dot(v)))
+
+
+def _per_point_exactness(rng, config, rows, counts, include_exact, include_feasible):
+    """The exactness sweep as one loop of per-point projections per trial."""
+    dim = config.dim
+    for trial in range(config.trials):
+        x = random_point(rng, dim)
+        subrows = []
+        if include_exact:
+            dependent = "dependent_positive" if rng.uniform() < 0.5 else "dependent_negative"
+            for flavor, label in (
+                (dependent, "dependent_halfspace_pair"),
+                ("orthogonal", "orthogonal_halfspace_pair"),
+            ):
+                w1, w2 = halfspace_pair(rng, dim, flavor)
+                ref = project_halfspace_pair(w1, w2, x).point
+                dev = _norm(project_onto(w2, project_onto(w1, x)) - ref)
+                subrows.append((label, dev, dev <= EXACTNESS_TOL))
+            for flavor, label in (
+                ("dependent_positive", "dependent_plane_halfspace"),
+                ("orthogonal", "orthogonal_plane_halfspace"),
+            ):
+                h1, w2 = hyperplane_halfspace(rng, dim, flavor)
+                ref = project_hyperplane_halfspace(h1, w2, x).point
+                dev_f = _norm(project_onto(w2, project_onto(h1, x)) - ref)
+                dev_r = _norm(project_onto(h1, project_onto(w2, x)) - ref)
+                subrows.append((label + "_fwd", dev_f, dev_f <= EXACTNESS_TOL))
+                subrows.append((label + "_rev", dev_r, dev_r <= EXACTNESS_TOL))
+        if include_feasible:
+            w1, w2 = halfspace_pair(rng, dim, "positive")
+            composed = project_onto(w2, project_onto(w1, x))
+            violation = max(
+                float(np.dot(composed, w1.u)) - w1.eta,
+                float(np.dot(composed, w2.u)) - w2.eta,
+                0.0,
+            )
+            ok = (
+                contains(w1, composed) is not Membership.OUTSIDE
+                and contains(w2, composed) is not Membership.OUTSIDE
+            )
+            subrows.append(("one_step_feasible", violation, ok))
+        for family, dev, ok in subrows:
+            rows.append([trial, family, dev, ok])
+            total_ok = counts.setdefault(family, [0, 0])
+            total_ok[0] += 1
+            total_ok[1] += 1 if ok else 0
+
+
+def _per_point_dykstra(rng, config, rows, counts):
+    """The Dykstra sweep with a per-point closed-form reference per trial."""
+    dim = config.dim
+    for trial in range(config.trials):
+        while True:
+            flavor = rng.choice(["negative", "positive", "orthogonal"])
+            u1, u2 = pair_of_normals(rng, dim, str(flavor))
+            if rate_gamma(u1, u2) <= 0.95:
+                break
+        w1 = Halfspace(u1, random_offset(rng))
+        w2 = Halfspace(u2, random_offset(rng))
+        x = random_point(rng, dim)
+        reference = project_halfspace_pair(w1, w2, x).point
+        trace = dykstra([w1, w2], x, max_sweeps=10_000, tol=1e-12)
+        deviation = _norm(trace.final - reference)
+        ok = deviation <= DYKSTRA_MATCH_TOL
+        rows.append([trial, len(trace.iterates) - 1, deviation, ok])
+        total_ok = counts.setdefault("dykstra_pair", [0, 0])
+        total_ok[0] += 1
+        total_ok[1] += 1 if ok else 0
+
+
+def _same_rows(sweep, reference, config, *flags):
+    results = []
+    for run_sweep in (sweep, reference):
+        rng = np.random.default_rng(config.seed)
+        rows, counts = [], {}
+        run_sweep(rng, config, rows, counts, *flags)
+        results.append((rows, counts, rng.bit_generator.state))
+    (rows, counts, state), (ref_rows, ref_counts, ref_state) = results
+    assert [[type(c) for c in r] for r in rows] == [[type(c) for c in r] for r in ref_rows]
+    assert [[repr(c) for c in r] for r in rows] == [[repr(c) for c in r] for r in ref_rows]
+    assert counts == ref_counts
+    assert state == ref_state
+    return rows
+
+
+class TestExactnessAndDykstraSweeps:
+    @pytest.mark.parametrize("seed", [1, 7, 12345])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_rows_match_the_per_point_loops(self, seed, dim):
+        for trials in (0, 1, 2, 25):
+            config = ExperimentConfig(seed=seed, dim=dim, trials=trials)
+            # the phases each case_filter runs, as cmd_experiment picks them
+            for case_filter in (None, *sorted(t.value for t in BehaviorTag)):
+                include_exact = case_filter in (None, "ExactComposition", "ExactBothOrders")
+                include_feasible = case_filter in (None, "OneStepFeasible")
+                if include_exact or include_feasible:
+                    rows = _same_rows(
+                        _experiment_exactness, _per_point_exactness, config,
+                        include_exact, include_feasible,
+                    )
+                    assert len(rows) == trials * (6 * include_exact + include_feasible)
+            rows = _same_rows(_experiment_dykstra, _per_point_dykstra, config)
+            assert len(rows) == trials

@@ -17,8 +17,16 @@ from polyproj import (
     project_hyperplane_halfspace,
     project_hyperplanes,
 )
-from polyproj.atomic import project_halfspace
-from polyproj.instances import random_hyperplane_system, random_offset, random_point, unit_vector
+from polyproj.atomic import SetBlock, project_halfspace
+from polyproj.closed_form import project_pair_rows
+from polyproj.errors import DimensionMismatch, ZeroNormal
+from polyproj.instances import (
+    pair_of_normals,
+    random_hyperplane_system,
+    random_offset,
+    random_point,
+    unit_vector,
+)
 from polyproj.sets import membership_bound
 
 from helpers import (
@@ -598,3 +606,168 @@ class TestProjectAndCertify:
         for sets in ([w[0]], w, h + [w[0]]):
             with pytest.raises(ValueError, match="closed_form supports"):
                 project(sets, [1.0, 2.0, 3.0])
+
+
+_PAIR_FLAVORS = (
+    "dependent_positive", "dependent_negative", "orthogonal", "negative", "positive",
+    "first_zero", "second_zero", "both_zero",
+)
+
+_ALL_PAIR_TAGS = {
+    "InsideBoth", "C1", "C2", "C3", "whole_space", "first_set_only", "second_set_only",
+    "merged_halfspace", "slab", "InC", "NotInC", "plane_is_whole_space",
+    "halfspace_is_whole_space", "plane_inside_halfspace",
+}
+
+
+def _scalar_pair(first, second, x):
+    if isinstance(first, Hyperplane):
+        return project_hyperplane_halfspace(first, second, x)
+    return project_halfspace_pair(first, second, x)
+
+
+def _random_pair_row(rng, dim):
+    """(first, second, x) for a nonempty pair: every family, zero normals, scaled normals."""
+    while True:
+        flavor = str(rng.choice(_PAIR_FLAVORS[:2] + _PAIR_FLAVORS[5:] if dim == 1 else _PAIR_FLAVORS))
+        if flavor.endswith("zero"):
+            u1, u2 = pair_of_normals(rng, dim, "dependent_positive")
+            u1 = np.zeros(dim) if flavor in ("first_zero", "both_zero") else u1
+            u2 = np.zeros(dim) if flavor in ("second_zero", "both_zero") else u2
+        else:
+            u1, u2 = pair_of_normals(rng, dim, flavor)
+        u1, u2 = u1 * rng.choice([0.3, 1.0, 4.0]), u2 * rng.choice([0.5, 1.0, 7.0])
+        plane = rng.uniform() < 0.5
+        eta1, eta2 = (0.0 if rng.uniform() < 0.2 else random_offset(rng) for _ in range(2))
+        if not u1.any():
+            eta1 = 0.0 if plane else abs(eta1)
+        if not u2.any():
+            eta2 = abs(eta2)
+        first = (Hyperplane if plane else Halfspace)(u1, eta1)
+        second = Halfspace(u2, eta2)
+        x = random_point(rng, dim)
+        if rng.uniform() < 0.2:
+            x[rng.integers(dim)] = -0.0
+        try:
+            _scalar_pair(first, second, x)
+        except EmptySet:
+            continue
+        return first, second, x
+
+
+class TestProjectPairRows:
+    """The pair-block kernel against the per-point pair projectors, bit for bit."""
+
+    @staticmethod
+    def _check(rows):
+        firsts, seconds, points = zip(*rows)
+        x = np.array(points)
+        before = x.copy()
+        out = project_pair_rows(SetBlock(firsts), SetBlock(seconds), x)
+        assert x.tobytes() == before.tobytes()
+        tags = []
+        for row, (first, second, point) in zip(out, rows):
+            bd = _scalar_pair(first, second, point)
+            assert row.tobytes() == bd.point.tobytes()
+            tags.append(bd.case if bd.region is None else bd.region.value)
+        return tags
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9])
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_rows_match_the_scalar_projectors(self, dim, n):
+        rng = np.random.default_rng(1000 * dim + n)
+        seen = set()
+        for _ in range(400 // n):
+            seen.update(self._check([_random_pair_row(rng, dim) for _ in range(n)]))
+        # one dimension has no independent pairs
+        expected = _ALL_PAIR_TAGS - {"InsideBoth", "C1", "C2", "C3", "InC", "NotInC"} if dim == 1 else _ALL_PAIR_TAGS
+        assert seen == expected
+
+    def test_region_ties_fall_to_the_earlier_branch(self):
+        u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        rows = [
+            # C1 on its tie n1sq * a2 == q * a1: a1 = 1, a2 = -1, q = -1
+            (Halfspace(u, 0.0), Halfspace([-1.0, 1.0], 0.0), np.array([1.0, 0.0]), "C1"),
+            # C2 on its tie n2sq * a1 == q * a2: a1 = -1, a2 = 1, q = -1
+            (Halfspace([-1.0, 1.0], 0.0), Halfspace(u, 0.0), np.array([1.0, 0.0]), "C2"),
+            # a1 = 0 with a2 < 0 is inside both; x - 0.0 * u1 turns -0.0 into +0.0
+            (Halfspace(-u, 0.0), Halfspace(v, 0.0), np.array([-0.0, -1.0]), "InsideBoth"),
+            # where the C3 formula would move it, since q > 0
+            (Halfspace(u, 0.0), Halfspace([0.6, 0.8], 0.0), np.array([0.0, -1.0]), "InsideBoth"),
+            # a1 = 0 with a2 > 0: C2 when q >= 0, C3 when q < 0
+            (Halfspace(u, -0.0), Halfspace(v, 0.0), np.array([-0.0, 1.0]), "C2"),
+            (Halfspace(u, -0.0), Halfspace([-0.6, 0.8], 0.0), np.array([-0.0, 1.0]), "C3"),
+            # the plane pair's tie a2 * n1sq == a1 * q is not in C
+            (Hyperplane(u, 0.0), Halfspace([-1.0, 1.0], 0.0), np.array([1.0, 0.0]), "NotInC"),
+            # not in C, x - g1 * u1 keeps the -0.0 that "- 0.0 * u2" would drop
+            (Hyperplane(u, 0.0), Halfspace([0.6, -0.8], 5.0), np.array([2.0, -0.0]), "NotInC"),
+        ]
+        assert self._check([row[:3] for row in rows]) == [row[3] for row in rows]
+        # normals of disjoint support, so q = 0 exactly, and a2 = 0 or a1 = 0:
+        # on these ties the next branch's formula gives other bits
+        e, f, x = np.array([0.7, 0.0, 0.0]), np.array([0.0, 0.9, 0.9]), np.array([0.1, 0.0, 0.0])
+        rows = [
+            (Halfspace(e, 0.0), Halfspace(f, 0.0), x, "C1"),
+            (Halfspace(f, 0.0), Halfspace(e, 0.0), x, "C2"),
+            (Hyperplane(e, 0.0), Halfspace(f, 0.0), x, "NotInC"),
+        ]
+        assert self._check([row[:3] for row in rows]) == [row[3] for row in rows]
+
+    def test_signed_zeros_in_one_dimension(self):
+        # a one-element dot of -0.0 keeps its sign, so a1 = -0.0 - 0.0 is -0.0
+        rows = [
+            (Hyperplane([1.0], 0.0), Halfspace([2.0], 5.0), np.array([-0.0])),
+            (Hyperplane([1.0], -0.0), Halfspace([0.0], 1.0), np.array([-0.0])),
+            (Halfspace([1.0], 0.0), Halfspace([3.0], 0.0), np.array([-0.0])),
+            (Halfspace([-1.0], 0.0), Halfspace([2.0], 1.0), np.array([-0.0])),
+        ]
+        assert self._check(rows) == [
+            "plane_inside_halfspace", "halfspace_is_whole_space", "merged_halfspace", "slab"
+        ]
+
+    def test_contradictory_dependent_pairs_are_empty(self):
+        u = np.array([0.6, 0.8])
+        good = (Halfspace(u, 1.0), Halfspace([0.0, 1.0], 0.0), np.array([2.0, 2.0]))
+        for first, second in [
+            (Halfspace(u, -1.0), Halfspace(-2.0 * u, -1.0)),  # slab: eta1 n2 + eta2 n1 < 0
+            (Hyperplane(u, 2.0), Halfspace(0.5 * u, 0.25)),  # aligned plane beyond the halfspace
+            (Hyperplane(u, -2.0), Halfspace(-u, 1.0)),  # opposed: -eta1 n2 > eta2 n1
+        ]:
+            with pytest.raises(EmptySet):
+                _scalar_pair(first, second, good[2])
+            with pytest.raises(EmptySet):
+                project_pair_rows(
+                    SetBlock([good[0], first]), SetBlock([good[1], second]), np.ones((2, 2))
+                )
+
+    def test_underflowing_merged_normal_raises_zero_normal(self):
+        # |u|^2 of each normal is a normal float; |n2 u1|^2 underflows
+        w1, w2 = Halfspace([2e-154, 0.0], 1.0), Halfspace([3e-154, 0.0], 1.0)
+        x = np.array([1.0, 1.0])
+        with pytest.raises(ZeroNormal):
+            project_halfspace_pair(w1, w2, x)
+        with pytest.raises(ZeroNormal):
+            project_pair_rows(SetBlock([w1]), SetBlock([w2]), x[None])
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (Halfspace([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)),
+            (Hyperplane([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0)),
+        ],
+    )
+    def test_other_pairings_rejected_before_any_arithmetic(self, first, second):
+        ok = Halfspace([1.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match="pair"):
+            project_pair_rows(SetBlock([ok, first]), SetBlock([ok, second]), None)
+
+    def test_shapes_checked(self):
+        w2, w3 = Halfspace([1.0, 0.0], 0.0), Halfspace([1.0, 0.0, 0.0], 0.0)
+        with pytest.raises(DimensionMismatch):
+            project_pair_rows(SetBlock([w2]), SetBlock([w3]), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatch):
+            project_pair_rows(SetBlock([w2]), SetBlock([w2, w2]), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatch):
+            project_pair_rows(SetBlock([w2]), SetBlock([w2]), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            project_pair_rows(SetBlock([w2]), SetBlock([w2]), [[np.nan, 0.0]])

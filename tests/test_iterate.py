@@ -505,11 +505,19 @@ class TestTraceExport:
             1e-300, 5e-324, 1.7976931348623157e308, "", "fam,ily", "x",
         ]
         rng = np.random.default_rng(97)
+        # one type per column, so each row is one %-template
+        floats = [0.1, 1 / 3, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308, -2.5]
+        ints = [0, -7, 2**70, -(2**70), 12]
+        strs = ["", "fam,ily", "x", "dependent_halfspace_pair"]
         cases = [
             [],
             [[]],
+            [[], [], []],
             [cells[i : i + 4] for i in range(0, len(cells), 4)],
             [[cells[j] for j in rng.integers(len(cells), size=4)] for _ in range(200)],
+            [[ints[i % 5], floats[i % 8], strs[i % 4], floats[(3 * i) % 8]] for i in range(40)],
+            [(floats[i % 8],) for i in range(8)],
+            [[ints[i % 5], strs[i % 4], floats[i % 8], i % 3 == 0] for i in range(40)],
         ]
         for rows in cases:
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"

@@ -167,6 +167,15 @@ class TestRowDots:
         assert row_dots(a, b).tobytes() == expected.tobytes()
         assert row_dots(a, a).tobytes() == np.array([v.dot(v) for v in a]).tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_signed_zeros_match_the_dot(self, dim):
+        # a one-element dot of -0.0 and 1.0 is -0.0; a sum started at +0.0 gives +0.0
+        rng = np.random.default_rng(dim)
+        a = rng.choice([0.0, -0.0, 1.0, -2.5], size=(500, dim))
+        b = rng.choice([0.0, -0.0, 1.0, -2.5], size=(500, dim))
+        expected = np.array([a[i].dot(b[i]) for i in range(len(a))])
+        assert row_dots(a, b).tobytes() == expected.tobytes()
+
 
 class TestGramMatrix:
     def test_symmetric_and_psd(self):
