@@ -1,6 +1,6 @@
 """Closed-form projectors onto a single hyperplane or halfspace.
 
-Both projectors move a point along the normal:
+Both projectors take one step, :func:`step`, along the normal:
 
     P_H x = x + (eta - <x,u>) / |u|^2 * u
 
@@ -30,9 +30,6 @@ rather than restate them:
   0.0)`` is ``np.where(0.0 > v, 0.0, v)``.  Both return the first
   argument on a tie, so ``max(-0.0, 0.0)`` stays -0.0, where
   ``np.maximum`` gives +0.0.
-* IEEE negation is exact, so the hyperplane step
-  ``x + (eta - <x,u>) / |u|^2 * u`` has the bits of the halfspace step
-  ``x - (<x,u> - eta) / |u|^2 * u``.
 * Every division runs only on the rows of its branch (``where=``), so
   no row is divided by a zero |u|^2 and no row of another branch raises
   a warning.
@@ -45,10 +42,28 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet
-from .linalg import row_dots
+from .linalg import _row_norms, row_dots
 from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
 BOUNDARY_TOL = 1e-12
+
+
+def step(s: LinearSet, xv: np.ndarray) -> tuple[np.ndarray, float]:
+    """Step onto a nonempty hyperplane or halfspace; returns (point, multiplier).
+
+    With ``gap = eta - <x,u>`` the point moves to ``x + gap / |u|^2 * u``,
+    with multiplier ``-gap / |u|^2``, when the set is a hyperplane with a
+    nonzero normal or when ``-gap`` is above ``membership_bound`` at
+    ``BOUNDARY_TOL``; otherwise it comes back unchanged with multiplier 0.
+    IEEE negation is exact, so a moved halfspace point has the bits of
+    ``x - (<x,u> - eta) / |u|^2 * u`` and a positive multiplier.
+    """
+    gap = s.eta - float(np.dot(xv, s.u))
+    always_moves = isinstance(s, Hyperplane) and not s.has_zero_normal
+    if not always_moves and -gap <= membership_bound(s, xv, BOUNDARY_TOL):
+        return xv.copy(), 0.0
+    t = gap / s.norm_sq
+    return xv + t * s.u, -t
 
 
 def project_hyperplane(plane: Hyperplane, x) -> np.ndarray:
@@ -60,26 +75,7 @@ def project_hyperplane(plane: Hyperplane, x) -> np.ndarray:
     xv = checked_point((plane,), x)
     if is_empty(plane):
         raise EmptySet("hyperplane with zero normal and nonzero offset is empty")
-    if plane.has_zero_normal:
-        return xv.copy()
-    u = plane.u
-    step = (plane.eta - float(np.dot(xv, u))) / plane.norm_sq
-    return xv + step * u
-
-
-def halfspace_step(half: Halfspace, xv: np.ndarray) -> tuple[np.ndarray, float]:
-    """Step onto a nonempty halfspace; returns (point, multiplier >= 0).
-
-    Points inside or within the boundary tolerance come back unchanged
-    with multiplier 0, which covers every point when the normal is zero;
-    points outside move along the normal onto the boundary.
-    """
-    u = half.u
-    value = float(np.dot(xv, u)) - half.eta
-    if value <= membership_bound(half, xv, BOUNDARY_TOL):
-        return xv.copy(), 0.0
-    t = value / half.norm_sq
-    return xv - t * u, t
+    return step(plane, xv)[0]
 
 
 def project_halfspace(half: Halfspace, x) -> np.ndarray:
@@ -87,7 +83,7 @@ def project_halfspace(half: Halfspace, x) -> np.ndarray:
     xv = checked_point((half,), x)
     if is_empty(half):
         raise EmptySet("halfspace with zero normal and negative offset is empty")
-    return halfspace_step(half, xv)[0]
+    return step(half, xv)[0]
 
 
 def project_onto(s: LinearSet, x) -> np.ndarray:
@@ -143,14 +139,14 @@ def _step_rows(u, eta, norm_sq, norm, always_moves, xb) -> tuple[np.ndarray, np.
 
     With ``gap = eta - <x,u>``, a row moves to ``x + gap / |u|^2 * u``
     when ``always_moves`` is set for it or when ``-gap`` is above
-    ``membership_bound`` at ``BOUNDARY_TOL``, which is when
-    :func:`halfspace_step` moves it.  Other rows come back unchanged.
+    ``membership_bound`` at ``BOUNDARY_TOL``, which is when :func:`step`
+    moves it.  Other rows come back unchanged.
     """
     gap = eta - row_dots(xb, u)
-    bound = BOUNDARY_TOL * (1.0 + np.abs(eta) + norm * np.sqrt(row_dots(xb, xb)))
+    bound = BOUNDARY_TOL * (1.0 + np.abs(eta) + norm * _row_norms(xb))
     moved = always_moves | (gap < -bound)
-    step = np.divide(gap, norm_sq, out=np.zeros_like(gap), where=moved)
-    return np.where(moved[:, None], xb + step[:, None] * u, xb), moved
+    t = np.divide(gap, norm_sq, out=np.zeros_like(gap), where=moved)
+    return np.where(moved[:, None], xb + t[:, None] * u, xb), moved
 
 
 def project_rows(block: SetBlock, x) -> np.ndarray:
@@ -158,8 +154,7 @@ def project_rows(block: SetBlock, x) -> np.ndarray:
 
     ``x`` must have the block's shape (n, d) and finite coordinates.
     Every row gets the bits :func:`project_onto` gives it alone (see the
-    module docstring).  A hyperplane row with a nonzero normal always
-    steps; a halfspace row steps when :func:`halfspace_step` would.  A
+    module docstring).  A row steps when :func:`step` would.  A
     zero-normal row has ``gap`` equal to ``eta`` (a halfspace, never
     negative once nonempty) or zero (a whole-space hyperplane), so it
     never moves and is never divided by its zero ``|u|^2``.

@@ -31,7 +31,7 @@ from .instances import (
     random_offset,
     random_point,
 )
-from .iterate import RATE_SLACK, BehaviorTag, dykstra, rate_gamma, write_csv
+from .iterate import RATE_SLACK, BehaviorTag, dykstra, rate_gamma
 from .oracle import KKT_TOL, KktCertificate, oracle_project
 from .sets import (
     Halfspace,
@@ -41,7 +41,7 @@ from .sets import (
     load_instance,
 )
 from .atomic import SetBlock, project_rows
-from .linalg import _norm, row_dots
+from .linalg import _norm, _row_norms, row_dots
 
 
 def certificate_tol() -> float:
@@ -79,6 +79,46 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write comma-separated rows, one per line, with LF line ends.
+
+    Floats get 17 significant digits so they read back exactly; booleans
+    are written ``true``/``false``; anything else goes through ``str``.
+    Each row shape (the types of its cells) gets one ``%`` template:
+    ``"%.17g" % v`` is ``format(v, ".17g")`` for a float, ``"%d"`` is
+    ``str`` for an int, and a cell of any other type (bool, numpy
+    scalars, subclasses) goes through :func:`_csv_cell`.
+    """
+    lines = [",".join(header)]
+    templates = {}
+    for row in rows:
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            others = [i for i, kind in enumerate(shape) if kind not in _CELL_FORMATS]
+            templates[shape] = (",".join(_CELL_FORMATS.get(kind, "%s") for kind in shape), others)
+        template, others = templates[shape]
+        if others:
+            row = list(row)
+            for i in others:
+                row[i] = _csv_cell(row[i])
+        lines.append(template % tuple(row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
+
+
+def _csv_cell(value) -> str:
+    # bool before float, and isinstance rather than type(): np.float64 is a
+    # float subclass and must get 17 digits too
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
 def _certificate_dict(cert: KktCertificate) -> dict:
     return {
         "lambda": [float(v) for v in cert.lam],
@@ -113,7 +153,10 @@ def cmd_project(args) -> int:
         result = _result_dict(bd.point, bd.coefficients, region_or_case, cert)
     elif args.method == "oracle":
         point, cert = oracle_project(inst.sets, x, tol)
-        result = _result_dict(point, [*cert.lam, *cert.beta], None, cert)
+        # lam and beta follow the halfspaces and the hyperplanes; print in set order
+        lam, beta = iter(cert.lam), iter(cert.beta)
+        multipliers = [next(lam if isinstance(s, Halfspace) else beta) for s in inst.sets]
+        result = _result_dict(point, multipliers, None, cert)
     elif args.method == "dykstra":
         result = _result_dict(dykstra(inst.sets, x).final, None, None, None)
     else:
@@ -155,6 +198,11 @@ class ExperimentConfig:
     k_max: int = 50
 
     def __post_init__(self):
+        for key in ("seed", "dim", "trials", "k_max"):
+            value = getattr(self, key)
+            # JSON reads 2.7 as a float and true as a bool, neither of which counts
+            if type(value) is not int:
+                raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if self.trials < 0:
@@ -172,20 +220,8 @@ def _load_config(path) -> ExperimentConfig:
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     if "tolerances" in raw:
         raise ValueError("config key 'tolerances' is not supported; experiment thresholds are fixed")
-    numbers = {
-        key: raw.get(key, default)
-        for key, default in (("seed", 0), ("dim", 2), ("trials", 100), ("k_max", 50))
-    }
-    for key, value in numbers.items():
-        # JSON reads 2.7 as a float and true as a bool, neither of which counts
-        if type(value) is not int:
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return ExperimentConfig(case_filter=raw.get("case_filter"), **numbers)
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    # linalg._norm of each row, bit for bit
-    return np.sqrt(row_dots(v, v))
+    keys = ("seed", "dim", "trials", "case_filter", "k_max")
+    return ExperimentConfig(**{key: raw[key] for key in keys if key in raw})
 
 
 def _tally(counts, family, ok) -> None:

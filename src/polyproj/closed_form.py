@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import SetBlock, _step_rows, halfspace_step
+from .atomic import SetBlock, _step_rows, step
 from .errors import DependentNormals, DimensionMismatch, EmptySet, ZeroNormal
 from .linalg import DEPENDENCE_TOL, PairTag, as_vector, classify_pair, row_dots, solve_gram
 from .oracle import KKT_TOL, KktCertificate, kkt_check
@@ -140,6 +140,13 @@ def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
     return _region_of(*_pair_terms(w1, w2, xv))
 
 
+def _determinant(n1sq, n2sq, q) -> float:
+    det = n1sq * n2sq - q * q  # positive for an independent pair unless it underflows
+    if det < _TINY:
+        raise ZeroNormal("determinant of the normals underflows")
+    return det
+
+
 def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown:
     if is_empty(w1) or is_empty(w2):
         raise EmptySet("empty intersection")
@@ -151,12 +158,12 @@ def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown
             xv.copy(), np.zeros(2), (w1, w2), case="whole_space"
         )
     if n2 == 0.0:
-        point, t = halfspace_step(w1, xv)
+        point, t = step(w1, xv)
         return ProjectionBreakdown(
             point, np.array([t, 0.0]), (w1, w2), case="first_set_only"
         )
     if n1 == 0.0:
-        point, t = halfspace_step(w2, xv)
+        point, t = step(w2, xv)
         return ProjectionBreakdown(
             point, np.array([0.0, t]), (w1, w2), case="second_set_only"
         )
@@ -165,7 +172,7 @@ def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown
         # The intersection is a single halfspace whose normal merges the
         # pair; the lone multiplier refers to that merged halfspace.
         merged = Halfspace(n2 * u1, min(w1.eta * n2, w2.eta * n1))
-        point, t = halfspace_step(merged, xv)
+        point, t = step(merged, xv)
         return ProjectionBreakdown(
             point, np.array([t]), (merged,), case="merged_halfspace", inputs=(w1, w2)
         )
@@ -173,10 +180,10 @@ def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown
     # Opposite normals: a slab, or nothing when the offsets contradict.
     if w1.eta * n2 + w2.eta * n1 < 0.0:
         raise EmptySet("empty intersection")
-    point, t = halfspace_step(w1, xv)
+    point, t = step(w1, xv)
     if t > 0.0:
         return ProjectionBreakdown(point, np.array([t, 0.0]), (w1, w2), case="slab")
-    point, t = halfspace_step(w2, xv)
+    point, t = step(w2, xv)
     return ProjectionBreakdown(point, np.array([0.0, t]), (w1, w2), case="slab")
 
 
@@ -204,7 +211,7 @@ def project_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> ProjectionBreakdo
     elif region is Region.C2:
         g1, g2 = 0.0, a2 / n2sq
     else:
-        det = n1sq * n2sq - q * q
+        det = _determinant(n1sq, n2sq, q)
         g1 = max((n2sq * a1 - q * a2) / det, 0.0)
         g2 = max((n1sq * a2 - q * a1) / det, 0.0)
     point = xv - g1 * u1 - g2 * u2
@@ -231,34 +238,23 @@ def project_hyperplane_halfspace(h1: Hyperplane, w2: Halfspace, x) -> Projection
             raise EmptySet("empty intersection")
         n1, n2 = h1.norm, w2.norm
         if n1 == 0.0:
-            point, t = halfspace_step(w2, xv)
+            point, t = step(w2, xv)
             return ProjectionBreakdown(
                 point, np.array([0.0, t]), (h1, w2), case="plane_is_whole_space"
             )
-        if n2 == 0.0:
-            xi1 = (float(np.dot(xv, u1)) - h1.eta) / (n1 * n1)
-            return ProjectionBreakdown(
-                xv - xi1 * u1,
-                np.array([xi1, 0.0]),
-                (h1, w2),
-                case="halfspace_is_whole_space",
-            )
+        # a zero second normal makes the test 0 > eta2 * n1, false once w2 is nonempty
         sign = 1.0 if pc.tag is PairTag.DEPENDENT_POSITIVE else -1.0
         if sign * h1.eta * n2 > w2.eta * n1:
             raise EmptySet("empty intersection")
         xi1 = (float(np.dot(xv, u1)) - h1.eta) / (n1 * n1)
-        return ProjectionBreakdown(
-            xv - xi1 * u1,
-            np.array([xi1, 0.0]),
-            (h1, w2),
-            case="plane_inside_halfspace",
-        )
+        case = "halfspace_is_whole_space" if n2 == 0.0 else "plane_inside_halfspace"
+        return ProjectionBreakdown(xv - xi1 * u1, np.array([xi1, 0.0]), (h1, w2), case=case)
 
     a1, a2, q, n1sq, n2sq = _pair_terms(h1, w2, xv)
     flag = pc.gamma > ILL_CONDITIONED_GAMMA
     active = a2 * n1sq - a1 * q
     if active > 0.0:
-        det = n1sq * n2sq - q * q
+        det = _determinant(n1sq, n2sq, q)
         xi1 = (a1 * n2sq - a2 * q) / det
         xi2 = active / det
         point = xv - xi1 * u1 - xi2 * u2
@@ -288,7 +284,7 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
     gives it alone, bit for bit (see :mod:`polyproj.atomic`); the
     multipliers are not returned.  Like those projectors it raises
     EmptySet for a contradictory dependent pair and ZeroNormal when a
-    merged normal underflows.
+    merged normal or the determinant of an independent pair underflows.
     """
     if second.is_hyperplane.any():
         raise ValueError("each pair must be two halfspaces or a hyperplane and a halfspace")
@@ -327,6 +323,8 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
     not_in_c = ~dependent & plane & ~in_c
     plane_only = dependent & plane & ~zero1
     det = n1sq * n2sq - q * q
+    if ((c3 | in_c) & (det < _TINY)).any():
+        raise ZeroNormal("determinant of the normals underflows")
     g1, g2 = np.zeros_like(a1), np.zeros_like(a1)
     np.divide(n2sq * a1 - q * a2, det, out=g1, where=c3 | in_c)
     np.divide(n1sq * a2 - q * a1, det, out=g2, where=c3 | in_c)

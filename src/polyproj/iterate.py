@@ -41,77 +41,20 @@ class StopReason(enum.Enum):
 
 @dataclass
 class IterationTrace:
-    """Sequence of iterates, optionally with errors against a reference.
-
-    ``iterates[0]`` is the starting point; ``errors`` is present exactly
-    when a reference projection was supplied and then matches the
-    iterates in length.
-    """
+    """Sequence of iterates; ``iterates[0]`` is the starting point."""
 
     iterates: list[np.ndarray]
-    errors: list[float] | None
     stop_reason: StopReason
 
     @property
     def final(self) -> np.ndarray:
         return self.iterates[-1]
 
-    def write_csv(self, path) -> None:
-        """Write rows ``k, x0..x{n-1}, err`` (err blank without a reference)."""
-        dim = self.iterates[0].shape[0]
-        header = ["k"] + [f"x{i}" for i in range(dim)] + ["err"]
-        rows = [
-            [k, *point, "" if self.errors is None else self.errors[k]]
-            for k, point in enumerate(self.iterates)
-        ]
-        write_csv(path, header, rows)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write comma-separated rows, one per line, with LF line ends.
-
-    Floats get 17 significant digits so they read back exactly; booleans
-    are written ``true``/``false``; anything else goes through ``str``.
-    Each row shape (the types of its cells) gets one ``%`` template:
-    ``"%.17g" % v`` is ``format(v, ".17g")`` for a float, ``"%d"`` is
-    ``str`` for an int, and a cell of any other type (bool, numpy
-    scalars, subclasses) goes through :func:`_csv_cell`.
-    """
-    lines = [",".join(header)]
-    templates = {}
-    for row in rows:
-        shape = tuple(map(type, row))
-        if shape not in templates:
-            others = [i for i, kind in enumerate(shape) if kind not in _CELL_FORMATS]
-            templates[shape] = (",".join(_CELL_FORMATS.get(kind, "%s") for kind in shape), others)
-        template, others = templates[shape]
-        if others:
-            row = list(row)
-            for i in others:
-                row[i] = _csv_cell(row[i])
-        lines.append(template % tuple(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
-
-
-def _csv_cell(value) -> str:
-    # bool before float, and isinstance rather than type(): np.float64 is a
-    # float subclass and must get 17 digits too
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
 
 def compose_iterate(
     projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
     x,
     max_k: int,
-    reference=None,
 ) -> IterationTrace:
     """Iterate the composition of the given projectors.
 
@@ -124,7 +67,6 @@ def compose_iterate(
     if len(projectors) == 0:
         raise ValueError("need at least one projector")
     x0 = as_vector(x)
-    ref = None if reference is None else as_vector(reference)
     threshold = STEP_TOL * (1.0 + _norm(x0))
     iterates = [x0.copy()]
     stop = StopReason.MAX_ITERATIONS
@@ -139,10 +81,7 @@ def compose_iterate(
         if step <= threshold:
             stop = StopReason.CONVERGED
             break
-    errors = None
-    if ref is not None:
-        errors = [_norm(p - ref) for p in iterates]
-    return IterationTrace(iterates, errors, stop)
+    return IterationTrace(iterates, stop)
 
 
 def dykstra(
@@ -181,7 +120,7 @@ def dykstra(
         if _norm(current - previous) <= tol:
             stop = StopReason.CONVERGED
             break
-    return IterationTrace(iterates, None, stop)
+    return IterationTrace(iterates, stop)
 
 
 def rate_gamma(u1, u2) -> float:

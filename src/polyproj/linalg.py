@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +68,11 @@ def inner(x, y) -> float:
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm(v)`` of a 1-D float array, bit for bit, without its overhead."""
     return math.sqrt(float(v.dot(v)))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """:func:`_norm` of each row of a 2-D float array, bit for bit (see :func:`row_dots`)."""
+    return np.sqrt(row_dots(v, v))
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,17 +168,6 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def gram_matrix(vectors: Sequence) -> np.ndarray:
-    """Matrix of pairwise inner products <a_i, a_j>.
-
-    Symmetric positive semidefinite; positive definite exactly when the
-    generators are linearly independent (testable via Cholesky).
-    """
-    if len(vectors) == 0:
-        return np.zeros((0, 0))
-    return _gram(_as_block(vectors))
-
-
 def solve_gram_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the Gram systems G(a[i]) beta[i] = b[i] of a stack of generator blocks.
 
@@ -241,27 +235,14 @@ def extend_basis(q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     return r / rnorm
 
 
-def expansion_coefficients(basis: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of ``v`` over the vectors ``basis``, in their order."""
-    if len(basis) == 0:
-        return np.zeros(0)
-    coeff, *_ = np.linalg.lstsq(np.stack(basis, axis=1), v, rcond=None)
-    return coeff
-
-
 @dataclass(frozen=True)
 class IndependentSubset:
     """Greedy maximal independent subfamily of a vector list.
 
     ``indices`` are positions of the retained vectors, in input order.
-    ``coefficients`` maps each excluded position to its expansion over
-    the retained vectors (aligned with ``indices``): the least-squares
-    expansion over the vectors retained before it, and zero on those
-    retained after it.  Zero vectors get all-zero coefficients.
     """
 
     indices: tuple[int, ...]
-    coefficients: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def max_independent_subset(vectors: Sequence) -> IndependentSubset:
@@ -273,15 +254,9 @@ def max_independent_subset(vectors: Sequence) -> IndependentSubset:
     vecs = _as_block(vectors)
     basis = np.empty_like(vecs)
     indices: list[int] = []
-    prefix: dict[int, np.ndarray] = {}
     for i, v in enumerate(vecs):
         unit = extend_basis(basis[: len(indices)], v)
-        if unit is None:
-            prefix[i] = expansion_coefficients([vecs[j] for j in indices], v)
-        else:
+        if unit is not None:
             basis[len(indices)] = unit
             indices.append(i)
-    coefficients = {
-        i: np.concatenate([c, np.zeros(len(indices) - len(c))]) for i, c in prefix.items()
-    }
-    return IndependentSubset(tuple(indices), coefficients)
+    return IndependentSubset(tuple(indices))

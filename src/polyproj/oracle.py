@@ -163,7 +163,7 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
         )
 
     ne = len(eq)
-    rows = [s for _, s in eq] + [s.boundary() for _, s in ineq]
+    rows = [s for _, s in eq + ineq]  # a halfspace row stands for its boundary
     normals = np.array([s.u for s in rows]).reshape(len(rows), xv.shape[0])
     offsets = np.array([s.eta for s in rows])
     rhs = np.array([float(np.dot(xv, s.u)) for s in rows]) - offsets

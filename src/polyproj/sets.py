@@ -41,7 +41,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroNormal
-from .linalg import DEPENDENCE_TOL, _norm, as_vector, expansion_coefficients, extend_basis
+from .linalg import DEPENDENCE_TOL, _norm, as_vector, extend_basis
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -191,7 +191,7 @@ def add_row(
         return kept + (row,)
     if not v.any():
         return kept if eta == 0.0 else None
-    coeff = expansion_coefficients([normals[j] for j in kept], v)
+    coeff, *_ = np.linalg.lstsq(np.stack([normals[j] for j in kept], axis=1), v, rcond=None)
     implied = float(sum(c * offsets[j] for c, j in zip(coeff, kept)))
     return None if abs(eta - implied) > DEPENDENCE_TOL * (1.0 + abs(eta)) else kept
 

@@ -13,7 +13,8 @@ from polyproj import (
     project_hyperplane,
     project_onto,
 )
-from polyproj.atomic import BOUNDARY_TOL, SetBlock, project_rows
+from polyproj.atomic import BOUNDARY_TOL, SetBlock, project_rows, step
+from polyproj.sets import membership_bound
 
 coords = st.lists(
     st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=5
@@ -57,6 +58,30 @@ class TestProjectHyperplane:
             step = p - x
             cross = step - (np.dot(step, h.u) / np.dot(h.u, h.u)) * h.u
             assert np.linalg.norm(cross) <= 1e-12
+
+
+class TestStep:
+    def test_bits_of_both_step_forms(self):
+        # the hyperplane form x + (eta - <x,u>)/|u|^2 u, and the halfspace
+        # form x - (<x,u> - eta)/|u|^2 u with multiplier (<x,u> - eta)/|u|^2
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            dim = int(rng.integers(1, 6))
+            u = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+            eta, x = rng.uniform(-2, 2), rng.uniform(-3, 3, size=dim)
+            plane, half = Hyperplane(u, eta), Halfspace(u, eta)
+            point, xi = step(plane, x)
+            gap = (eta - float(np.dot(x, u))) / plane.norm_sq
+            assert point.tobytes() == (x + gap * u).tobytes()
+            assert xi == -gap
+            point, lam = step(half, x)
+            value = float(np.dot(x, u)) - eta
+            if value <= membership_bound(half, x, BOUNDARY_TOL):
+                assert point.tobytes() == x.tobytes() and lam == 0.0
+            else:
+                t = value / half.norm_sq
+                assert point.tobytes() == (x - t * u).tobytes()
+                assert lam == t > 0.0
 
 
 class TestProjectHalfspace:

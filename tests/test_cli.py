@@ -132,6 +132,75 @@ class TestProject:
             assert out == ""
             assert "underflows" in err
 
+    def test_underflowing_determinant_is_an_error_line(self, tmp_path, capsys):
+        # legal normals whose 2x2 determinant underflows: a typed error, exit 1
+        for kind in ("halfspace", "hyperplane"):
+            path = self._write_instance(
+                tmp_path,
+                {
+                    "dim": 2,
+                    "sets": [
+                        {"kind": kind, "u": [1e-100, 0.0], "eta": 0.0},
+                        {"kind": "halfspace", "u": [-0.6e-100, 0.8e-100], "eta": 0.0},
+                    ],
+                    "points": [[3.0, 2.0]],
+                },
+            )
+            code, out, err = run(["project", "--instance", path], capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "determinant" in err
+
+    def test_oracle_multipliers_follow_the_set_order(self, tmp_path, capsys):
+        out_file = tmp_path / "inst.json"
+        run(
+            ["generate", "--seed", "1", "--dim", "3", "--kind", "hyperplane_halfspace",
+             "--out", str(out_file)],
+            capsys,
+        )
+        results = {}
+        for method in ("closed_form", "oracle"):
+            code, out, _ = run(["project", "--instance", str(out_file), "--method", method], capsys)
+            assert code == 0
+            results[method] = json.loads(out)["multipliers"]
+        np.testing.assert_allclose(results["oracle"], results["closed_form"], rtol=1e-9)
+        # hyperplanes and halfspaces interleaved: x - p = (2, 5, 7) = 2 e1 + 5 e2 + 7 e3
+        path = self._write_instance(
+            tmp_path,
+            {
+                "dim": 3,
+                "sets": [
+                    {"kind": "hyperplane", "u": [1.0, 0.0, 0.0], "eta": 1.0},
+                    {"kind": "halfspace", "u": [0.0, 1.0, 0.0], "eta": 0.0},
+                    {"kind": "hyperplane", "u": [0.0, 0.0, 1.0], "eta": 0.0},
+                ],
+                "points": [[3.0, 5.0, 7.0]],
+            },
+        )
+        code, out, _ = run(["project", "--instance", path, "--method", "oracle"], capsys)
+        assert code == 0
+        assert json.loads(out)["multipliers"] == pytest.approx([2.0, 5.0, 7.0])
+
+    def test_oracle_multipliers_of_single_kind_families(self, tmp_path, capsys):
+        # with one kind of set the set order is the oracle's own order
+        for seed, kind in [(2, "pair_halfspace"), (6, "hyperplane_system")]:
+            out_file = tmp_path / f"{kind}.json"
+            run(
+                ["generate", "--seed", str(seed), "--dim", "3", "--kind", kind,
+                 "--out", str(out_file)],
+                capsys,
+            )
+            results = {}
+            for method in ("closed_form", "oracle"):
+                code, out, _ = run(
+                    ["project", "--instance", str(out_file), "--method", method], capsys
+                )
+                assert code == 0
+                results[method] = json.loads(out)["multipliers"]
+            np.testing.assert_allclose(
+                results["oracle"], results["closed_form"], rtol=1e-9, atol=1e-12
+            )
+
     def test_round_trip_generated_instances(self, tmp_path, capsys):
         for seed, kind in [(3, "pair_halfspace"), (4, "hyperplane_halfspace"), (5, "hyperplane_system")]:
             out_file = tmp_path / f"{kind}.json"
@@ -380,6 +449,11 @@ class TestExperiment:
         assert out == ""
         assert key in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, value", [("trials", 2.0), ("seed", True), ("k_max", None)])
+    def test_config_checks_integers_when_built(self, key, value):
+        with pytest.raises(ValueError, match=f"config key {key!r} must be an integer"):
+            ExperimentConfig(**{key: value})
 
     @pytest.mark.parametrize("content", ["[]", "3", '"seed"', "null"])
     def test_non_object_config_rejected(self, tmp_path, capsys, content):

@@ -749,6 +749,21 @@ class TestProjectPairRows:
         with pytest.raises(ZeroNormal):
             project_pair_rows(SetBlock([w1]), SetBlock([w2]), x[None])
 
+    def test_underflowing_determinant_raises_zero_normal(self):
+        # |u|^2 = 1e-200 is a normal float, but |u1|^2 |u2|^2 - <u1,u2>^2
+        # underflows to 0; x lies in region C3 of the halfspace pair and
+        # in region IN_C of the plane-halfspace pair
+        u1, w2 = [1e-100, 0.0], Halfspace([-0.6e-100, 0.8e-100], 0.0)
+        x = np.array([3.0, 2.0])
+        for first, projector in (
+            (Halfspace(u1, 0.0), project_halfspace_pair),
+            (Hyperplane(u1, 0.0), project_hyperplane_halfspace),
+        ):
+            with pytest.raises(ZeroNormal, match="determinant"):
+                projector(first, w2, x)
+            with pytest.raises(ZeroNormal, match="determinant"):
+                project_pair_rows(SetBlock([first]), SetBlock([w2]), x[None])
+
     @pytest.mark.parametrize(
         "first, second",
         [

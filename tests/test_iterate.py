@@ -24,7 +24,7 @@ from polyproj import (
     verify_bam,
 )
 from polyproj.instances import pair_of_normals, random_offset, random_point
-from polyproj.iterate import write_csv
+from polyproj.cli import write_csv
 
 from helpers import (
     ld_pair_case,
@@ -67,12 +67,10 @@ class TestComposeIterate:
     def test_errors_against_reference(self):
         w1, w2 = Halfspace([1, 0], 0.0), Halfspace([0, 1], 0.0)
         ref = project_halfspace_pair(w1, w2, [2, 3]).point
-        trace = compose_iterate(
-            [_projector(w1), _projector(w2)], [2, 3], max_k=5, reference=ref
-        )
-        assert trace.errors is not None
-        assert len(trace.errors) == len(trace.iterates)
-        assert trace.errors[-1] <= 1e-12
+        trace = compose_iterate([_projector(w1), _projector(w2)], [2, 3], max_k=5)
+        errors = [np.linalg.norm(p - ref) for p in trace.iterates]
+        assert errors[0] > 0.0
+        assert errors[-1] <= 1e-12
 
     def test_propagates_empty_set(self):
         with pytest.raises(EmptySet):
@@ -466,21 +464,6 @@ class TestTrapping:
 
 
 class TestTraceExport:
-    def test_csv_header_and_blank_error(self, tmp_path):
-        trace = compose_iterate([_projector(Halfspace([1, 0], 0.0))], [2, 1], max_k=3)
-        out = tmp_path / "trace.csv"
-        trace.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "k,x0,x1,err"
-        assert lines[1].startswith("0,2,1,")
-        assert lines[1].endswith(",")
-
-    def test_csv_bytes(self, tmp_path):
-        trace = compose_iterate([_projector(Halfspace([1, 0], 0.5))], [2, 1], max_k=3)
-        out = tmp_path / "trace.csv"
-        trace.write_csv(out)
-        assert out.read_bytes() == b"k,x0,x1,err\n0,2,1,\n1,0.5,1,\n2,0.5,1,\n"
-
     @staticmethod
     def _reference_csv(path, header, rows):
         # the per-cell loop write_csv replaced, kept as its reference
@@ -525,17 +508,21 @@ class TestTraceExport:
             self._reference_csv(want, header, rows)
             assert got.read_bytes() == want.read_bytes()
 
-    def test_csv_errors_column(self, tmp_path):
-        w1, w2 = Halfspace([1, 0], 0.0), Halfspace([-0.6, 0.8], 0.0)
-        ref = project_halfspace_pair(w1, w2, [3, 2]).point
-        trace = compose_iterate(
-            [_projector(w1), _projector(w2)], [3, 2], max_k=8, reference=ref
+    def test_csv_bytes(self, tmp_path):
+        # 17 significant digits, true/false, numpy numbers like their python kin
+        out = tmp_path / "rows.csv"
+        rows = [
+            (0, 0.1, True, "a"),
+            (1, np.float64(1.0) / 3, False, "b,c"),
+            (np.int64(2), -0.0, False, ""),
+        ]
+        write_csv(out, ["k", "x", "ok", "name"], rows)
+        assert out.read_bytes() == (
+            b"k,x,ok,name\n"
+            b"0,0.10000000000000001,true,a\n"
+            b"1,0.33333333333333331,false,b,c\n"
+            b"2,-0,false,\n"
         )
-        out = tmp_path / "trace.csv"
-        trace.write_csv(out)
-        lines = out.read_text().strip().splitlines()
-        errs = [float(line.split(",")[-1]) for line in lines[1:]]
-        assert errs == trace.errors
 
     def test_errors_nonincreasing_for_contracting_pairs(self):
         rng = np.random.default_rng(66)
@@ -544,8 +531,7 @@ class TestTraceExport:
             w1, w2 = li_halfspace_pair(rng, dim, "negative")
             x = random_point(rng, dim, 4.0)
             ref = project_halfspace_pair(w1, w2, x).point
-            trace = compose_iterate(
-                [_projector(w1), _projector(w2)], x, max_k=30, reference=ref
-            )
-            for earlier, later in zip(trace.errors, trace.errors[1:]):
+            trace = compose_iterate([_projector(w1), _projector(w2)], x, max_k=30)
+            errors = [np.linalg.norm(p - ref) for p in trace.iterates]
+            for earlier, later in zip(errors, errors[1:]):
                 assert later <= earlier + 1e-12

@@ -10,12 +10,11 @@ from polyproj import (
     PairTag,
     SingularGram,
     classify_pair,
-    gram_matrix,
     inner,
     max_independent_subset,
     solve_gram,
 )
-from polyproj.linalg import row_dots, solve_gram_stack
+from polyproj.linalg import _norm, _row_norms, row_dots, solve_gram_stack
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0).map(
     lambda v: 0.0 if abs(v) < 1e-6 else v
@@ -117,7 +116,7 @@ class TestSolveGram:
             gens = [rng.normal(size=dim) for _ in range(m)]
             rhs = rng.normal(size=m)
             beta = solve_gram(gens, rhs)
-            g = gram_matrix(gens)
+            g = np.array(gens) @ np.array(gens).T
             assert np.linalg.norm(g @ beta - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
 
     def test_dependent_generators_rejected(self):
@@ -177,49 +176,43 @@ class TestRowDots:
         assert row_dots(a, b).tobytes() == expected.tobytes()
 
 
-class TestGramMatrix:
-    def test_symmetric_and_psd(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            vecs = [rng.normal(size=4) for _ in range(3)]
-            g = gram_matrix(vecs)
-            np.testing.assert_allclose(g, g.T)
-            eigs = np.linalg.eigvalsh(g)
-            assert eigs.min() >= -1e-10
+class TestRowNorms:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
+    def test_bits_of_the_per_row_norm(self, dim):
+        # the row and per-point kernels share one norm: each row of
+        # _row_norms is _norm of that row, which is np.linalg.norm
+        rng = np.random.default_rng(dim)
+        v = rng.normal(size=(1000, dim)) * 10.0 ** rng.uniform(-150, 150, size=(1000, 1))
+        v[::7] = 0.0
+        v[3::11, 0] = -0.0
+        got = _row_norms(v)
+        assert got.tobytes() == np.array([_norm(row) for row in v]).tobytes()
+        assert got.tobytes() == np.array([np.linalg.norm(row) for row in v]).tobytes()
 
-    def test_definite_iff_independent(self):
-        good = [np.array([1.0, 0.0]), np.array([1.0, 1.0])]
-        np.linalg.cholesky(gram_matrix(good))
-        bad = [np.array([1.0, 2.0]), np.array([2.0, 4.0])]
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(gram_matrix(bad))
+    def test_empty_block(self):
+        assert _row_norms(np.zeros((0, 3))).shape == (0,)
 
 
 class TestMaxIndependentSubset:
     def test_sum_of_axes(self):
         res = max_independent_subset([[1, 0], [0, 1], [1, 1]])
         assert res.indices == (0, 1)
-        np.testing.assert_allclose(res.coefficients[2], [1.0, 1.0], atol=1e-12)
 
     def test_zero_vector_excluded(self):
         res = max_independent_subset([[0, 0], [1, 0]])
         assert res.indices == (1,)
-        np.testing.assert_allclose(res.coefficients[0], [0.0])
 
     def test_all_zero_input(self):
         res = max_independent_subset([[0, 0], [0, 0]])
         assert res.indices == ()
-        assert res.coefficients[0].shape == (0,)
-        assert res.coefficients[1].shape == (0,)
 
     def test_scaled_duplicate_excluded(self):
-        # rank check oracle: det of the (v0, v1) Gram is 0, (v0, v2) is not
+        # rank check oracle: (v0, v1) has rank 1, (v0, v2) rank 2
         vecs = [np.array([1.0, 2.0]), np.array([2.0, 4.0]), np.array([0.0, 1.0])]
-        assert np.linalg.det(gram_matrix(vecs[:2])) == pytest.approx(0.0, abs=1e-12)
-        assert np.linalg.det(gram_matrix([vecs[0], vecs[2]])) != 0.0
+        assert np.linalg.matrix_rank(np.array(vecs[:2])) == 1
+        assert np.linalg.matrix_rank(np.array([vecs[0], vecs[2]])) == 2
         res = max_independent_subset(vecs)
         assert res.indices == (0, 2)
-        np.testing.assert_allclose(res.coefficients[1], [2.0, 0.0], atol=1e-12)
 
     def test_retained_cholesky_passes_excluded_fails(self):
         rng = np.random.default_rng(5)
@@ -235,14 +228,13 @@ class TestMaxIndependentSubset:
             retained = [vecs[i] for i in res.indices]
             rhs = rng.normal(size=len(retained))
             solve_gram(retained, rhs)
-            for i, coeff in res.coefficients.items():
+            excluded = [i for i in range(len(vecs)) if i not in res.indices]
+            # one vector is a combination of the others, so exactly one is excluded
+            assert len(excluded) == 1
+            for i in excluded:
                 # the positive-definiteness gate must reject the grown family
                 with pytest.raises(SingularGram):
                     solve_gram(retained + [vecs[i]], rng.normal(size=len(retained) + 1))
-                combo = sum(c * r for c, r in zip(coeff, retained))
-                assert np.linalg.norm(combo - vecs[i]) <= 1e-8 * (
-                    1 + np.linalg.norm(vecs[i])
-                )
 
     def test_greedy_keeps_first(self):
         res = max_independent_subset([[2, 0], [1, 0], [0, 3]])
@@ -250,7 +242,6 @@ class TestMaxIndependentSubset:
 
 
 BLOCK_KERNELS = {
-    "gram_matrix": gram_matrix,
     "solve_gram": lambda vecs: solve_gram(vecs, np.ones(len(vecs))),
     "max_independent_subset": lambda vecs: np.array(max_independent_subset(vecs).indices),
 }

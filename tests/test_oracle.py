@@ -54,6 +54,30 @@ class TestOracleProject:
         np.testing.assert_allclose(cert.lam, [0])
         assert cert.valid
 
+    def test_halfspace_rows_need_no_boundary_copies(self, monkeypatch):
+        # the halfspaces hold u, eta and |u| already; their boundary planes are not built
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(40):
+            dim = int(rng.integers(2, 5))
+            z, normals = rng.normal(size=dim), rng.normal(size=(4, dim))
+            # every set holds z, so the intersection is not empty
+            sets = [Hyperplane(normals[0], float(normals[0] @ z))]
+            sets += [Halfspace(u, float(u @ z) + rng.uniform(0, 1)) for u in normals[1:]]
+            x = random_point(rng, dim, 4.0)
+            point, cert = oracle_project(sets, x)
+            cases.append((sets, x, point, cert))
+
+        def boundary(self):
+            raise AssertionError("oracle_project built a boundary plane")
+
+        monkeypatch.setattr(Halfspace, "boundary", boundary)
+        for sets, x, point, cert in cases:
+            again, again_cert = oracle_project(sets, x)
+            assert again.tobytes() == point.tobytes()
+            assert again_cert.lam.tobytes() == cert.lam.tobytes()
+            assert again_cert.beta.tobytes() == cert.beta.tobytes()
+
     def test_too_many_inequalities(self):
         sets = [Halfspace(np.eye(25)[i], 1.0) for i in range(21)]
         with pytest.raises(TooManyConstraints):
