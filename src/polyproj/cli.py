@@ -1,8 +1,9 @@
 """Command-line front end: single projections, experiments, generation.
 
-Exit codes: 0 on success, 2 when the requested intersection is empty,
-1 on malformed input or configuration.  Diagnostics go to stderr, data
-to stdout or the requested output files.  The environment variable
+Exit codes: 0 on success, 1 on malformed input or configuration, 2 when
+the requested intersection is empty, 3 when the oracle has more
+inequality constraints than it enumerates.  Diagnostics go to stderr,
+data to stdout or the requested output files.  The environment variable
 ``POLYPROJ_TOL`` overrides the KKT tolerance that ``project`` certifies
 results with (the ``tol`` of the oracle and of ``certify``, which also
 checks the closed form's point against the input sets); it is the only
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import certify, project, project_pair_rows
-from .errors import EmptySet, PolyprojError
+from .errors import EmptySet, PolyprojError, TooManyConstraints
 from .instances import (
     generate_instance,
     halfspace_pair,
@@ -150,7 +151,11 @@ def cmd_project(args) -> int:
         bd = project(inst.sets, x)
         region_or_case = bd.case if bd.region is None else bd.region.value
         cert = certify(bd, x, tol)
-        result = _result_dict(bd.point, bd.coefficients, region_or_case, cert)
+        multipliers = bd.coefficients
+        if len(bd.sets) == len(inst.sets):  # a merged pair keeps its one multiplier
+            by_set = {id(s): c for s, c in zip(bd.sets, bd.coefficients)}
+            multipliers = [by_set[id(s)] for s in inst.sets]
+        result = _result_dict(bd.point, multipliers, region_or_case, cert)
     elif args.method == "oracle":
         point, cert = oracle_project(inst.sets, x, tol)
         # lam and beta follow the halfspaces and the hyperplanes; print in set order
@@ -457,6 +462,9 @@ def main(argv=None) -> int:
     except EmptySet as exc:
         print(str(exc) or "empty intersection", file=sys.stderr)
         return 2
+    except TooManyConstraints as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (PolyprojError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

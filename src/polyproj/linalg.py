@@ -217,22 +217,43 @@ def solve_gram(generators: Sequence, rhs) -> np.ndarray:
     return beta[0]
 
 
+def _residual(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v - (q v)ᵀ q``, taken twice (classical Gram-Schmidt with reorthogonalization).
+
+    ``q`` is (k, d) with ``v`` (d,), or a stack (..., k, d) with columns
+    ``v`` (..., d, 1).  Written as ``v - qᵀ (q v)``, each product is one
+    BLAS ``gemv`` call per item, the same call alone or in a stack, so
+    every item gets the bits of the one-row call.
+    """
+    qt = q.swapaxes(-1, -2)
+    r = v - qt @ (q @ v)
+    return r - qt @ (q @ r)
+
+
 def extend_basis(q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     """Unit residual of ``v`` against the orthonormal rows of ``q``, or None.
 
     ``v`` counts as dependent on the rows, and None is returned, when its
-    residual is at most ``DEPENDENCE_TOL`` times its own norm.  The
-    residual is ``v - (q v)ᵀ q``, taken twice (classical Gram-Schmidt
-    with reorthogonalization).
+    residual (:func:`_residual`) is at most ``DEPENDENCE_TOL`` times its
+    own norm.
     """
-    r = v
-    if len(q):
-        r = v - (q @ v) @ q
-        r = r - (q @ r) @ q
+    r = _residual(q, v) if len(q) else v
     rnorm = _norm(r)
     if rnorm <= DEPENDENCE_TOL * _norm(v):
         return None
     return r / rnorm
+
+
+def _extend_bases(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`extend_basis` of ``v[i]`` (n, d) against ``q[i]`` (n, k, d), bit for bit.
+
+    Returns the mask of the dependent rows and the others' unit residuals.
+    """
+    r = _residual(q, v[..., None])[..., 0]
+    rnorm = _row_norms(r)
+    dependent = rnorm <= DEPENDENCE_TOL * _row_norms(v)
+    independent = ~dependent
+    return dependent, r[independent] / rnorm[independent, None]
 
 
 @dataclass(frozen=True)

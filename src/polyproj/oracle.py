@@ -13,16 +13,20 @@ reduction are a visited subset, reduced to the same rows.  The
 enumeration is exponential by design; it exists to check the
 closed-form projectors, not to replace them.
 
-The subsets are walked depth first in lexicographic order.  The
-hyperplanes are scanned once; each child then extends its parent's
-orthonormal basis of kept rows by one boundary, so no prefix is scanned
-twice.  Rows are added by ``sets.add_row``, the same row step
-``reduce_hyperplane_system`` takes: a dependent boundary is dropped when
-its offset agrees with the kept rows, and otherwise ends its branch,
+The subsets are walked one level at a time, in groups of at most
+``GRAM_STACK``.  The hyperplanes are scanned once by ``sets.add_row``;
+each group's children, one boundary larger, then extend their parents'
+orthonormal bases of kept rows in one stacked Gram-Schmidt step
+(``linalg._extend_bases``), and each group of children is walked before
+the next is built, so at most one group per level, ``MAX_INEQUALITIES``
+in all, is held.  A dependent boundary keeps its parent's rows when
+``add_row``'s offset rule accepts it, and otherwise ends its branch,
 since every superset keeps the contradiction.  The Gram systems of the
-visited subsets are solved in stacks of at most ``GRAM_STACK``, grouped by
-how many rows they keep (``linalg.solve_gram_stack``); the results are
-bit for bit those of reducing and solving each subset on its own.
+visited subsets are solved, and their candidates checked, in stacks of
+at most ``GRAM_STACK`` that keep the same number of rows
+(``linalg.solve_gram_stack``); every step is elementwise, a per-row dot
+or a per-item LAPACK call, so the results are bit for bit those of
+reducing and solving each subset on its own.
 
 :func:`kkt_check` evaluates the first-order optimality residuals of a
 proposed projection: stationarity of the quadratic objective, primal
@@ -37,8 +41,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
-from .linalg import _norm, as_vector, solve_gram_stack
-from .sets import Halfspace, Hyperplane, LinearSet, add_row, checked_point, is_empty
+from .linalg import _extend_bases, _norm, _row_norms, as_vector, row_dots, solve_gram_stack
+from .sets import Halfspace, Hyperplane, LinearSet, _consistent, add_row, checked_point, is_empty
 
 MAX_INEQUALITIES = 20
 
@@ -169,74 +173,95 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
     rhs = np.array([float(np.dot(xv, s.u)) for s in rows]) - offsets
     slack_base = 1.0 + np.abs(offsets)
     normal_norms = np.array([s.norm for s in rows])
-    basis = np.empty_like(normals)
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def consider(active: tuple[int, ...], kept: np.ndarray, beta: np.ndarray) -> None:
+    def consider(actives: list, kept: np.ndarray, beta: np.ndarray) -> None:
+        # candidate i is x - sum_j beta[i, j] u_kept[i, j]; each step is
+        # elementwise or a per-row dot, so it gets the bits it gets alone
         nonlocal best
-        point = xv.copy()
-        for b, row in zip(beta, kept):
-            point -= b * normals[row]
-        # membership_bound's arithmetic for all rows at once; per-row
-        # np.dot, since a matrix product rounds differently
-        gaps = np.array([np.dot(point, s.u) for s in rows]) - offsets
-        gaps[:ne] = np.abs(gaps[:ne])
-        bounds = tol * (slack_base + normal_norms * _norm(point))
-        if (gaps > bounds).any():
+        points = np.repeat(xv[None], len(kept), axis=0)
+        for j in range(kept.shape[1]):
+            points -= beta[:, j, None] * normals[kept[:, j]]
+        # membership_bound's arithmetic for all rows at once
+        gaps = row_dots(points[:, None, :], normals) - offsets
+        gaps[:, :ne] = np.abs(gaps[:, :ne])
+        bounds = tol * (slack_base + normal_norms * _row_norms(points)[:, None])
+        feasible = np.flatnonzero(~(gaps > bounds).any(axis=1))
+        if not len(feasible):
             return
-        dist = _norm(point - xv)
+        dists = _row_norms(points[feasible] - xv).tolist()
+        dist, active, i = min(zip(dists, [actives[i] for i in feasible], feasible))
         if best is None or (dist, active) < best[:2]:
-            is_eq = kept < ne
+            is_eq = kept[i] < ne
             lam_full = np.zeros(m)
-            lam_full[kept[~is_eq] - ne] = np.maximum(beta[~is_eq], 0.0)
+            lam_full[kept[i][~is_eq] - ne] = np.maximum(beta[i][~is_eq], 0.0)
             beta_full = np.zeros(ne)
-            beta_full[kept[is_eq]] = beta[is_eq]
-            best = (dist, active, point, lam_full, beta_full)
+            beta_full[kept[i][is_eq]] = beta[i][is_eq]
+            best = (dist, active, points[i].copy(), lam_full, beta_full)
 
-    # visited active sets, grouped by how many rows they keep
-    stacks: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    # visited (active set, kept rows) pairs, grouped by how many rows they keep
+    stacks: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
 
-    def solve_stack(r: int) -> None:
-        group = stacks.pop(r)
+    def solve_stack(stack: list, n: int) -> None:
+        group, stack[:n] = stack[:n], []
         kept = np.array([k for _, k in group])
         beta, ok = solve_gram_stack(normals[kept], rhs[kept])
-        ok &= ~((beta < -tol) & (kept >= ne)).any(axis=1)
-        for i in np.flatnonzero(ok):
-            consider(group[i][0], kept[i], beta[i])
+        ok = np.flatnonzero(ok & ~((beta < -tol) & (kept >= ne)).any(axis=1))
+        if len(ok):
+            consider([group[i][0] for i in ok], kept[ok], beta[ok])
 
-    def visit(active: tuple[int, ...], kept: tuple[int, ...]) -> None:
-        stack = stacks.setdefault(len(kept), [])
-        stack.append((active, kept))
-        if len(stack) == GRAM_STACK:
-            solve_stack(len(kept))
+    def visit(actives: list, kept: np.ndarray) -> None:
+        stack = stacks.setdefault(kept.shape[1], [])
+        stack += zip(actives, kept.tolist())
+        while len(stack) >= GRAM_STACK:
+            solve_stack(stack, GRAM_STACK)
 
-    def walk(active: tuple[int, ...], kept: tuple[int, ...], depth_left: int) -> None:
-        for i in range(active[-1] + 1 if active else 0, m):
-            child_kept = add_row(basis, kept, normals, offsets, ne + i)
-            if child_kept is None:
-                continue  # every superset keeps this contradiction
-            child = active + (i,)
-            # a dependent row keeps the parent's rows: same candidate, larger key
-            if len(child_kept) > len(kept):
-                visit(child, child_kept)
-            if depth_left > 1:
-                walk(child, child_kept, depth_left - 1)
+    def walk(actives: list, lasts: np.ndarray, kept: np.ndarray, basis: np.ndarray, depth: int):
+        # children of a group of active sets that keep the same rows count:
+        # pair c adds boundary child[c] > the last of actives[parent[c]]
+        counts = m - 1 - lasts
+        parent = np.repeat(np.arange(len(actives)), counts)
+        child = np.repeat(lasts + 1 - np.cumsum(counts) + counts, counts) + np.arange(len(parent))
+        for start in range(0, len(parent), GRAM_STACK):
+            par, i = parent[start : start + GRAM_STACK], child[start : start + GRAM_STACK]
+            dependent, units = _extend_bases(basis[par], normals[ne + i])
+            children = [actives[a] + (b,) for a, b in zip(par.tolist(), i.tolist())]
+            grew = np.flatnonzero(~dependent)
+            if len(grew):
+                p, c = par[grew], i[grew]
+                grown = [children[j] for j in grew]
+                grown_kept = np.concatenate([kept[p], ne + c[:, None]], axis=1)
+                visit(grown, grown_kept)
+                if depth > 1:
+                    grown_basis = np.concatenate([basis[p], units[:, None]], axis=1)
+                    walk(grown, c, grown_kept, grown_basis, depth - 1)
+            if depth > 1 and dependent.any():
+                # a dependent row keeps its parent's rows, so its candidate is
+                # the parent's (with a larger key) but its supersets are new;
+                # one that contradicts the kept rows ends its branch
+                fits = np.flatnonzero(dependent)
+                fits = [j for j in fits if _consistent(kept[par[j]], normals, offsets, ne + i[j])]
+                p = par[fits]
+                walk([children[j] for j in fits], i[fits], kept[p], basis[p], depth - 1)
 
+    basis = np.empty_like(normals)
     kept_eq: tuple[int, ...] | None = ()
     for row in range(ne):
         kept_eq = add_row(basis, kept_eq, normals, offsets, row)
         if kept_eq is None:
             raise EmptySet("empty intersection")
+    root_kept = np.array([kept_eq], dtype=np.intp)
     if kept_eq:
-        visit((), kept_eq)
+        visit([()], root_kept)
     else:
-        consider((), np.zeros(0, dtype=int), np.zeros(0))
+        consider([()], root_kept, np.zeros((1, 0)))
     depth = min(m, xv.shape[0] - len(kept_eq))
     if depth > 0:
-        walk((), kept_eq, depth)
+        walk([()], np.array([-1]), root_kept, basis[None, : len(kept_eq)], depth)
     for r in sorted(stacks):
-        solve_stack(r)
+        if stacks[r]:
+            solve_stack(stacks[r], len(stacks[r]))
 
     if best is None:
         raise EmptySet("empty intersection")

@@ -26,8 +26,10 @@ which keeps the test meaningful across scales; ``tol`` is
 
 :func:`add_row` is the one row step of a hyperplane system: it extends
 an orthonormal basis of the kept normals by one row, or else checks the
-dependent row's offset against the kept rows.  Both
-:func:`reduce_hyperplane_system` and the oracle's active-set walk call it.
+dependent row's offset against the kept rows.
+:func:`reduce_hyperplane_system` and the oracle's hyperplane scan call
+it; the oracle's active-set walk takes the same step for a stack of rows
+at once and applies its offset rule to the dependent ones.
 """
 
 from __future__ import annotations
@@ -184,16 +186,21 @@ def add_row(
     within ``DEPENDENCE_TOL * (1 + |eta|)``.  A zero-normal row is
     consistent only if its offset is exactly zero.
     """
-    v, eta = normals[row], offsets[row]
-    unit = extend_basis(basis[: len(kept)], v)
+    unit = extend_basis(basis[: len(kept)], normals[row])
     if unit is not None:
         basis[len(kept)] = unit
         return kept + (row,)
+    return kept if _consistent(kept, normals, offsets, row) else None
+
+
+def _consistent(kept: Sequence[int], normals: np.ndarray, offsets: np.ndarray, row: int) -> bool:
+    """:func:`add_row`'s offset rule for a row whose normal depends on the ``kept`` rows."""
+    v, eta = normals[row], offsets[row]
     if not v.any():
-        return kept if eta == 0.0 else None
+        return eta == 0.0
     coeff, *_ = np.linalg.lstsq(np.stack([normals[j] for j in kept], axis=1), v, rcond=None)
     implied = float(sum(c * offsets[j] for c, j in zip(coeff, kept)))
-    return None if abs(eta - implied) > DEPENDENCE_TOL * (1.0 + abs(eta)) else kept
+    return not abs(eta - implied) > DEPENDENCE_TOL * (1.0 + abs(eta))
 
 
 def reduce_hyperplane_system(planes: Sequence[Hyperplane]) -> ReducedHyperplaneSystem:

@@ -181,6 +181,35 @@ class TestProject:
         assert code == 0
         assert json.loads(out)["multipliers"] == pytest.approx([2.0, 5.0, 7.0])
 
+    def test_closed_form_multipliers_follow_the_set_order(self, tmp_path, capsys):
+        # the halfspace is listed first; the closed form projects onto
+        # (plane, halfspace), and x - p = (3, 5) - (1, 0) = 2 e1 + 5 e2
+        path = self._write_instance(
+            tmp_path,
+            {
+                "dim": 2,
+                "sets": [
+                    {"kind": "halfspace", "u": [0.0, 1.0], "eta": 0.0},
+                    {"kind": "hyperplane", "u": [1.0, 0.0], "eta": 1.0},
+                ],
+                "points": [[3.0, 5.0]],
+            },
+        )
+        for method in ("closed_form", "oracle"):
+            code, out, _ = run(["project", "--instance", path, "--method", method], capsys)
+            assert code == 0
+            assert json.loads(out)["multipliers"] == [5.0, 2.0]
+
+    def test_too_many_constraints_exit_3(self, tmp_path, capsys):
+        sets = [{"kind": "halfspace", "u": list(row), "eta": 1.0} for row in np.eye(21, 25)]
+        path = self._write_instance(
+            tmp_path, {"dim": 25, "sets": sets, "points": [[0.0] * 25]}
+        )
+        code, out, err = run(["project", "--instance", path, "--method", "oracle"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "enumeration limit" in err
+
     def test_oracle_multipliers_of_single_kind_families(self, tmp_path, capsys):
         # with one kind of set the set order is the oracle's own order
         for seed, kind in [(2, "pair_halfspace"), (6, "hyperplane_system")]:

@@ -14,7 +14,15 @@ from polyproj import (
     max_independent_subset,
     solve_gram,
 )
-from polyproj.linalg import _norm, _row_norms, row_dots, solve_gram_stack
+from polyproj.linalg import (
+    DEPENDENCE_TOL,
+    _extend_bases,
+    _norm,
+    _row_norms,
+    extend_basis,
+    row_dots,
+    solve_gram_stack,
+)
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0).map(
     lambda v: 0.0 if abs(v) < 1e-6 else v
@@ -191,6 +199,37 @@ class TestRowNorms:
 
     def test_empty_block(self):
         assert _row_norms(np.zeros((0, 3))).shape == (0,)
+
+
+def one_row_unit(q, v):
+    """The one-row basis step as a loop of 1-D products: v - (q v) q, taken twice."""
+    r = v
+    if len(q):
+        r = v - (q @ v) @ q
+        r = r - (q @ r) @ q
+    rnorm = _norm(r)
+    return None if rnorm <= DEPENDENCE_TOL * _norm(v) else r / rnorm
+
+
+class TestExtendBases:
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_each_row_has_the_bits_of_the_one_row_step(self, dim):
+        # every k < d; a third of the rows lie in the span of their basis
+        # (zero rows when k = 0) and a sixth lie 1e-12 off it
+        rng = np.random.default_rng(100 + dim)
+        n = 60
+        for k in range(dim):
+            q = np.stack([np.linalg.qr(rng.normal(size=(dim, dim)))[0][:k] for _ in range(n)])
+            v = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            v[::3] = (rng.normal(size=(n, k))[:, :, None] * q).sum(axis=1)[::3]
+            v[1::6] = v[::3][: len(v[1::6])] + 1e-12 * rng.normal(size=(len(v[1::6]), dim))
+            dependent, units = _extend_bases(q, v)
+            for step in (extend_basis, one_row_unit):
+                expected = [step(q[i], v[i]) for i in range(n)]
+                assert dependent.tolist() == [e is None for e in expected]
+                kept = [e for e in expected if e is not None]
+                assert units.tobytes() == np.array(kept).reshape(-1, dim).tobytes()
+            assert dependent[::3].all() and not dependent.all()
 
 
 class TestMaxIndependentSubset:

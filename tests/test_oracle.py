@@ -296,6 +296,48 @@ class TestActiveSetPruning:
         for got, want in zip((point, cert.lam, cert.beta), full_enumeration(sets, x)):
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def wide_instance(rng, degenerate):
+        # 12 inequalities in R^13: every subset is visited, and the widest
+        # level, C(12, 6) = 924 active sets, spans several stacks
+        dim = 13
+        anchor = random_point(rng, dim, 1.0)
+        sets = []
+        for _ in range(10 if degenerate else 12):
+            u = unit_vector(rng, dim)
+            sets.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.uniform(-0.2, 1.0))))
+        if degenerate:
+            # a plane, a scaled copy and an opposed, shifted copy: dependent rows
+            u = unit_vector(rng, dim)
+            sets.insert(3, Hyperplane(u, float(np.dot(u, anchor))))
+            sets.append(Halfspace(2.0 * sets[0].u, 2.0 * sets[0].eta))
+            sets.insert(6, Halfspace(-sets[1].u, 0.3 - sets[1].eta))
+        return sets, anchor + random_point(rng, dim, 4.0)
+
+    def test_wide_levels_match_full_enumeration_bit_for_bit(self):
+        rng = np.random.default_rng(51)
+        for degenerate in (False, True):
+            sets, x = self.wide_instance(rng, degenerate)
+            point, cert = oracle_project(sets, x)
+            for got, want in zip((point, cert.lam, cert.beta), full_enumeration(sets, x)):
+                assert np.array_equal(got, want)
+
+    def test_basis_steps_stay_within_one_stack(self, monkeypatch):
+        # each of the 2^12 - 1 nonempty active sets takes one basis step, in
+        # stacked calls of at most GRAM_STACK rows
+        rows = []
+        extend = polyproj.oracle._extend_bases
+
+        def counting_extend(q, v):
+            rows.append(len(v))
+            return extend(q, v)
+
+        monkeypatch.setattr(polyproj.oracle, "_extend_bases", counting_extend)
+        sets, x = self.wide_instance(np.random.default_rng(52), degenerate=False)
+        oracle_project(sets, x)
+        assert sum(rows) == 2**12 - 1
+        assert max(rows) == polyproj.oracle.GRAM_STACK
+
 
 def referee_instance(rng, dim, m, grid):
     """Planes and halfspaces around an anchor, for the exact referee.
