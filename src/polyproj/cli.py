@@ -147,26 +147,24 @@ def cmd_project(args) -> int:
         raise ValueError(f"point index {args.point} out of range")
     x = inst.points[args.point]
     tol = certificate_tol()
+    if args.method == "dykstra":
+        print(canonical_json(_result_dict(dykstra(inst.sets, x).final, None, None, None)))
+        return 0
     if args.method == "closed_form":
         bd = project(inst.sets, x)
+        point, cert = bd.point, certify(bd, x, tol)
         region_or_case = bd.case if bd.region is None else bd.region.value
-        cert = certify(bd, x, tol)
-        multipliers = bd.coefficients
-        if len(bd.sets) == len(inst.sets):  # a merged pair keeps its one multiplier
-            by_set = {id(s): c for s, c in zip(bd.sets, bd.coefficients)}
-            multipliers = [by_set[id(s)] for s in inst.sets]
-        result = _result_dict(bd.point, multipliers, region_or_case, cert)
     elif args.method == "oracle":
-        point, cert = oracle_project(inst.sets, x, tol)
-        # lam and beta follow the halfspaces and the hyperplanes; print in set order
-        lam, beta = iter(cert.lam), iter(cert.beta)
-        multipliers = [next(lam if isinstance(s, Halfspace) else beta) for s in inst.sets]
-        result = _result_dict(point, multipliers, None, cert)
-    elif args.method == "dykstra":
-        result = _result_dict(dykstra(inst.sets, x).final, None, None, None)
+        (point, cert), region_or_case = oracle_project(inst.sets, x, tol), None
     else:
         raise ValueError(f"unknown method: {args.method!r}")
-    print(canonical_json(result))
+    # lam follows the halfspaces and beta the hyperplanes; print them in set
+    # order, except a merged pair's one multiplier for two sets
+    multipliers = [*cert.lam, *cert.beta]
+    if len(multipliers) == len(inst.sets):
+        lam, beta = iter(cert.lam), iter(cert.beta)
+        multipliers = [next(lam if isinstance(s, Halfspace) else beta) for s in inst.sets]
+    print(canonical_json(_result_dict(point, multipliers, region_or_case, cert)))
     return 0
 
 

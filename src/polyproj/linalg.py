@@ -7,8 +7,10 @@ dependence of a pair is decided relative to the Cauchy-Schwarz gap:
     |u1| |u2| - |<u1, u2>|  <=  DEPENDENCE_TOL * |u1| |u2|
 
 which is scale invariant and reduces to the exact criterion as the
-tolerance goes to 0.  The residual test of :func:`extend_basis` reads
-the same constant; no function takes an override.
+tolerance goes to 0.  The residual test of :func:`extend_basis`, the
+step of the one greedy row scan :func:`_scan_rows` (and, for a stack of
+rows, of :func:`_extend_bases`), reads the same constant; no function
+takes an override.
 """
 
 from __future__ import annotations
@@ -256,6 +258,42 @@ def _extend_bases(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return dependent, r[independent] / rnorm[independent, None]
 
 
+def _consistent(kept: Sequence[int], normals: np.ndarray, offsets: np.ndarray, row: int) -> bool:
+    """Whether a row whose normal depends on the ``kept`` rows has a matching offset.
+
+    The normal is sum_j c_j u_j over the kept rows (least squares); the
+    offset must be sum_j c_j eta_j within ``DEPENDENCE_TOL * (1 + |eta|)``,
+    or exactly zero for a zero normal.
+    """
+    v, eta = normals[row], offsets[row]
+    if not v.any():
+        return eta == 0.0
+    coeff, *_ = np.linalg.lstsq(np.stack([normals[j] for j in kept], axis=1), v, rcond=None)
+    implied = float(sum(c * offsets[j] for c, j in zip(coeff, kept)))
+    return not abs(eta - implied) > DEPENDENCE_TOL * (1.0 + abs(eta))
+
+
+def _scan_rows(normals: np.ndarray, offsets: np.ndarray | None = None) -> tuple:
+    """Keep each row of ``normals`` (n, d), in order, that grows the basis of those kept.
+
+    Returns ``(kept, basis, consistent)``: the kept indices, the
+    orthonormal basis of their normals (:func:`extend_basis`) and whether
+    every dropped row passed :func:`_consistent` (which runs only with
+    ``offsets`` and stops at the first row that fails).
+    """
+    basis = np.empty_like(normals)
+    kept: list[int] = []
+    consistent = True
+    for row, v in enumerate(normals):
+        unit = extend_basis(basis[: len(kept)], v)
+        if unit is not None:
+            basis[len(kept)] = unit
+            kept.append(row)
+        elif consistent and offsets is not None:
+            consistent = _consistent(kept, normals, offsets, row)
+    return tuple(kept), basis[: len(kept)], consistent
+
+
 @dataclass(frozen=True)
 class IndependentSubset:
     """Greedy maximal independent subfamily of a vector list.
@@ -270,14 +308,6 @@ def max_independent_subset(vectors: Sequence) -> IndependentSubset:
     """Greedily select a maximal linearly independent subfamily.
 
     Scans in input order (first vector wins ties), extending an
-    orthonormal basis of the retained vectors with :func:`extend_basis`.
+    orthonormal basis of the retained vectors (:func:`_scan_rows`).
     """
-    vecs = _as_block(vectors)
-    basis = np.empty_like(vecs)
-    indices: list[int] = []
-    for i, v in enumerate(vecs):
-        unit = extend_basis(basis[: len(indices)], v)
-        if unit is not None:
-            basis[len(indices)] = unit
-            indices.append(i)
-    return IndependentSubset(tuple(indices))
+    return IndependentSubset(_scan_rows(_as_block(vectors))[0])

@@ -13,20 +13,19 @@ reduction are a visited subset, reduced to the same rows.  The
 enumeration is exponential by design; it exists to check the
 closed-form projectors, not to replace them.
 
-The subsets are walked one level at a time, in groups of at most
-``GRAM_STACK``.  The hyperplanes are scanned once by ``sets.add_row``;
-each group's children, one boundary larger, then extend their parents'
-orthonormal bases of kept rows in one stacked Gram-Schmidt step
-(``linalg._extend_bases``), and each group of children is walked before
-the next is built, so at most one group per level, ``MAX_INEQUALITIES``
-in all, is held.  A dependent boundary keeps its parent's rows when
-``add_row``'s offset rule accepts it, and otherwise ends its branch,
-since every superset keeps the contradiction.  The Gram systems of the
-visited subsets are solved, and their candidates checked, in stacks of
-at most ``GRAM_STACK`` that keep the same number of rows
-(``linalg.solve_gram_stack``); every step is elementwise, a per-row dot
-or a per-item LAPACK call, so the results are bit for bit those of
-reducing and solving each subset on its own.
+The hyperplanes are scanned once by ``linalg._scan_rows``.  When x
+projected onto the kept rows is x itself (distance 0) and feasible, it
+is the projection and nothing more is visited; otherwise the subsets
+are walked one level at a time, in groups of at most ``GRAM_STACK``.
+A group's children, one boundary larger, extend their parents' bases
+of kept rows in one stacked Gram-Schmidt step (``linalg._extend_bases``);
+those that grew keep one row more, and their Gram systems are solved
+and candidates checked in one stacked call (``linalg.solve_gram_stack``)
+before they are walked.  A dependent boundary keeps its parent's rows
+when ``linalg._consistent`` accepts its offset, and otherwise ends its
+branch.  Every step is elementwise, a per-row dot or a per-item LAPACK
+call, so the results are bit for bit those of reducing and solving
+each subset on its own.
 
 :func:`kkt_check` evaluates the first-order optimality residuals of a
 proposed projection: stationarity of the quadratic objective, primal
@@ -41,8 +40,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
-from .linalg import _extend_bases, _norm, _row_norms, as_vector, row_dots, solve_gram_stack
-from .sets import Halfspace, Hyperplane, LinearSet, _consistent, add_row, checked_point, is_empty
+from .linalg import _consistent, _extend_bases, _norm, _row_norms, _scan_rows, as_vector
+from .linalg import row_dots, solve_gram_stack
+from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty
 
 MAX_INEQUALITIES = 20
 
@@ -200,22 +200,12 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
             beta_full[kept[i][is_eq]] = beta[i][is_eq]
             best = (dist, active, points[i].copy(), lam_full, beta_full)
 
-    # visited (active set, kept rows) pairs, grouped by how many rows they keep
-    stacks: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-
-    def solve_stack(stack: list, n: int) -> None:
-        group, stack[:n] = stack[:n], []
-        kept = np.array([k for _, k in group])
+    def solve(actives: list, kept: np.ndarray) -> None:
+        # the Gram systems of active sets that keep the same number of rows
         beta, ok = solve_gram_stack(normals[kept], rhs[kept])
         ok = np.flatnonzero(ok & ~((beta < -tol) & (kept >= ne)).any(axis=1))
         if len(ok):
-            consider([group[i][0] for i in ok], kept[ok], beta[ok])
-
-    def visit(actives: list, kept: np.ndarray) -> None:
-        stack = stacks.setdefault(kept.shape[1], [])
-        stack += zip(actives, kept.tolist())
-        while len(stack) >= GRAM_STACK:
-            solve_stack(stack, GRAM_STACK)
+            consider([actives[i] for i in ok], kept[ok], beta[ok])
 
     def walk(actives: list, lasts: np.ndarray, kept: np.ndarray, basis: np.ndarray, depth: int):
         # children of a group of active sets that keep the same rows count:
@@ -232,7 +222,7 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
                 p, c = par[grew], i[grew]
                 grown = [children[j] for j in grew]
                 grown_kept = np.concatenate([kept[p], ne + c[:, None]], axis=1)
-                visit(grown, grown_kept)
+                solve(grown, grown_kept)
                 if depth > 1:
                     grown_basis = np.concatenate([basis[p], units[:, None]], axis=1)
                     walk(grown, c, grown_kept, grown_basis, depth - 1)
@@ -245,23 +235,20 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
                 p = par[fits]
                 walk([children[j] for j in fits], i[fits], kept[p], basis[p], depth - 1)
 
-    basis = np.empty_like(normals)
-    kept_eq: tuple[int, ...] | None = ()
-    for row in range(ne):
-        kept_eq = add_row(basis, kept_eq, normals, offsets, row)
-        if kept_eq is None:
-            raise EmptySet("empty intersection")
+    kept_eq, basis, consistent = _scan_rows(normals[:ne], offsets[:ne])
+    if not consistent:
+        raise EmptySet("empty intersection")
     root_kept = np.array([kept_eq], dtype=np.intp)
     if kept_eq:
-        visit([()], root_kept)
+        solve([()], root_kept)
     else:
         consider([()], root_kept, np.zeros((1, 0)))
+    # a feasible root at distance 0 has the smallest key and distance, so no
+    # active set can replace it; at a positive distance a candidate on a
+    # boundary through the root's point can round nearer
     depth = min(m, xv.shape[0] - len(kept_eq))
-    if depth > 0:
-        walk([()], np.array([-1]), root_kept, basis[None, : len(kept_eq)], depth)
-    for r in sorted(stacks):
-        if stacks[r]:
-            solve_stack(stacks[r], len(stacks[r]))
+    if (best is None or best[0] > 0.0) and depth > 0:
+        walk([()], np.array([-1]), root_kept, basis[None], depth)
 
     if best is None:
         raise EmptySet("empty intersection")

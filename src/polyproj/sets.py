@@ -23,13 +23,6 @@ Membership is tolerance-based.  A point sits on the boundary when
 
 which keeps the test meaningful across scales; ``tol`` is
 ``MEMBERSHIP_TOL``.
-
-:func:`add_row` is the one row step of a hyperplane system: it extends
-an orthonormal basis of the kept normals by one row, or else checks the
-dependent row's offset against the kept rows.
-:func:`reduce_hyperplane_system` and the oracle's hyperplane scan call
-it; the oracle's active-set walk takes the same step for a stack of rows
-at once and applies its offset rule to the dependent ones.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroNormal
-from .linalg import DEPENDENCE_TOL, _norm, as_vector, extend_basis
+from .linalg import _norm, _scan_rows, as_vector
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -171,58 +164,20 @@ class ReducedHyperplaneSystem:
     retained_indices: tuple[int, ...]
 
 
-def add_row(
-    basis: np.ndarray, kept: tuple[int, ...], normals: np.ndarray, offsets: np.ndarray, row: int
-) -> tuple[int, ...] | None:
-    """One row step of the hyperplane system with rows ``normals``, ``offsets``.
-
-    ``basis[: len(kept)]`` holds orthonormal rows spanning the normals
-    of the ``kept`` rows.  Returns ``kept + (row,)`` when the new normal
-    is independent of them (:func:`linalg.extend_basis`; its unit
-    residual goes to ``basis[len(kept)]``), ``kept`` when the row is
-    dependent and consistent, and None when it contradicts them.  A
-    dependent normal is sum_j c_j u_j over the kept rows (least
-    squares); the row is consistent if its offset matches sum_j c_j eta_j
-    within ``DEPENDENCE_TOL * (1 + |eta|)``.  A zero-normal row is
-    consistent only if its offset is exactly zero.
-    """
-    unit = extend_basis(basis[: len(kept)], normals[row])
-    if unit is not None:
-        basis[len(kept)] = unit
-        return kept + (row,)
-    return kept if _consistent(kept, normals, offsets, row) else None
-
-
-def _consistent(kept: Sequence[int], normals: np.ndarray, offsets: np.ndarray, row: int) -> bool:
-    """:func:`add_row`'s offset rule for a row whose normal depends on the ``kept`` rows."""
-    v, eta = normals[row], offsets[row]
-    if not v.any():
-        return eta == 0.0
-    coeff, *_ = np.linalg.lstsq(np.stack([normals[j] for j in kept], axis=1), v, rcond=None)
-    implied = float(sum(c * offsets[j] for c, j in zip(coeff, kept)))
-    return not abs(eta - implied) > DEPENDENCE_TOL * (1.0 + abs(eta))
-
-
 def reduce_hyperplane_system(planes: Sequence[Hyperplane]) -> ReducedHyperplaneSystem:
     """Prune dependent planes and detect offset contradictions.
 
-    Rows are scanned greedily in input order with :func:`add_row`.
-    Infeasibility is reported as data, never raised.
+    Rows are scanned greedily in input order by ``linalg._scan_rows``,
+    the scan the oracle's hyperplanes share.  Infeasibility is reported
+    as data, never raised.
     """
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
     checked_point(planes, planes[0].u)  # DimensionMismatch unless all share one dimension
     normals = np.array([p.u for p in planes])
     offsets = np.array([p.eta for p in planes])
-    basis = np.empty_like(normals)
-    kept: tuple[int, ...] = ()
-    status = Feasibility.FEASIBLE
-    for row in range(len(planes)):
-        step = add_row(basis, kept, normals, offsets, row)
-        if step is None:
-            status = Feasibility.INFEASIBLE
-        else:
-            kept = step
+    kept, _, consistent = _scan_rows(normals, offsets)
+    status = Feasibility.FEASIBLE if consistent else Feasibility.INFEASIBLE
     return ReducedHyperplaneSystem(tuple(planes[i] for i in kept), status, kept)
 
 

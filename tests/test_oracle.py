@@ -142,8 +142,10 @@ class TestOracleProject:
             planes = random_hyperplane_system(rng, dim)
             x = random_point(rng, dim)
             point, cert = oracle_project(planes, x)
-            out = project_hyperplanes(planes, x)
-            assert np.linalg.norm(point - out.point) <= 1e-9
+            bd = project_hyperplanes(planes, x)
+            # both paths take the one row scan and the one stacked Gram solve
+            assert point.tobytes() == bd.point.tobytes()
+            assert cert.beta.tobytes() == bd.coefficients.tobytes()
             assert cert.valid
 
 
@@ -338,6 +340,46 @@ class TestActiveSetPruning:
         assert sum(rows) == 2**12 - 1
         assert max(rows) == polyproj.oracle.GRAM_STACK
 
+    def test_feasible_root_ends_the_walk(self, monkeypatch):
+        # x inside every halfspace is its own projection, at distance 0 and
+        # with the smallest key, so no basis step runs
+        calls = []
+        extend = polyproj.oracle._extend_bases
+
+        def counting_extend(q, v):
+            calls.append(len(v))
+            return extend(q, v)
+
+        monkeypatch.setattr(polyproj.oracle, "_extend_bases", counting_extend)
+        rng = np.random.default_rng(53)
+        x = random_point(rng, 5, 1.0)
+        inside = []
+        for _ in range(14):
+            u = unit_vector(rng, 5)
+            inside.append(Halfspace(u, float(np.dot(u, x)) + float(rng.uniform(0.1, 1.0))))
+        point, cert = oracle_project(inside, x)
+        assert calls == []
+        assert point.tobytes() == x.tobytes()
+        assert not cert.lam.any() and cert.valid
+
+    def test_feasible_root_off_x_is_still_walked(self):
+        # a plane moves x, and boundaries through the root's point hold
+        # candidates that can round nearer to x than the root: the walk
+        # must still find the one the full enumeration keeps
+        rng = np.random.default_rng(54)
+        for _ in range(20):
+            x = random_point(rng, 5, 2.0)
+            u = unit_vector(rng, 5)
+            plane = Hyperplane(u, float(np.dot(u, x)) + float(rng.uniform(-1.0, 1.0)))
+            root = project_hyperplanes([plane], x).point
+            sets = [plane]
+            for _ in range(6):
+                v = unit_vector(rng, 5)
+                sets.append(Halfspace(v, float(np.dot(v, root)) + float(rng.choice([0.0, 0.3]))))
+            point, cert = oracle_project(sets, x)
+            for got, want in zip((point, cert.lam, cert.beta), full_enumeration(sets, x)):
+                assert np.array_equal(got, want)
+
 
 def referee_instance(rng, dim, m, grid):
     """Planes and halfspaces around an anchor, for the exact referee.
@@ -420,7 +462,7 @@ class TestHyperplaneRowMembership:
         # counts as a copy of the first and leaves the Gram solve; the planes
         # still meet only on the x3 axis, so any point returned must lie on
         # both.  The tolerance is raised at every binding the row step reads.
-        for module in (polyproj.linalg, polyproj.sets):
+        for module in (polyproj.linalg,):
             monkeypatch.setattr(module, "DEPENDENCE_TOL", 1e-3)
         tilt = 1e-5
         planes = [Hyperplane([1, 0, 0], 0.0), Hyperplane([np.cos(tilt), np.sin(tilt), 0], 0.0)]
