@@ -33,10 +33,9 @@ import numpy as np
 
 from .atomic import SetBlock, _step_rows, step
 from .errors import DependentNormals, DimensionMismatch, EmptySet, ZeroNormal
-from .linalg import DEPENDENCE_TOL, PairTag, as_vector, classify_pair, row_dots, solve_gram
+from .linalg import DEPENDENCE_TOL, PairTag, _scan_rows, classify_pair, row_dots
 from .oracle import KKT_TOL, KktCertificate, kkt_check
 from .sets import (
-    Feasibility,
     _TINY,
     Halfspace,
     Hyperplane,
@@ -44,7 +43,6 @@ from .sets import (
     checked_point,
     is_empty,
     membership_bound,
-    reduce_hyperplane_system,
 )
 
 ILL_CONDITIONED_GAMMA = 1.0 - 1e-6
@@ -97,13 +95,6 @@ class ProjectionBreakdown:
     @property
     def normals(self) -> tuple[np.ndarray, ...]:
         return tuple(s.u for s in self.sets)
-
-    def reconstruction(self, x) -> np.ndarray:
-        """Recompute the point from x and the recorded multipliers."""
-        p = as_vector(x).copy()
-        for c, u in zip(self.coefficients, self.normals):
-            p -= c * u
-        return p
 
 
 def _pair_terms(s1_set, s2_set, xv):
@@ -357,26 +348,24 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
 def project_hyperplanes(planes: Sequence[Hyperplane], x) -> ProjectionBreakdown:
     """Project onto the intersection of finitely many hyperplanes.
 
-    The system is first pruned to an independent subfamily; redundant
-    planes get zero multipliers, and an inconsistent system raises
-    EmptySet.  On the retained planes the multipliers solve the Gram
-    system of the normals.
+    One row scan (``linalg._scan_rows``) keeps an independent subfamily
+    and carries its multipliers, one bordered step per kept plane;
+    redundant planes get zero multipliers, and an inconsistent system
+    raises EmptySet.  The point is x minus the multipliers times the
+    kept normals.
     """
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
     xv = checked_point(planes, x)
-    reduced = reduce_hyperplane_system(planes)
-    if reduced.status is Feasibility.INFEASIBLE:
+    offsets = np.array([p.eta for p in planes])
+    rhs = np.array([float(np.dot(xv, p.u)) for p in planes]) - offsets
+    kept, (_, _, _, beta), consistent = _scan_rows(np.array([p.u for p in planes]), offsets, rhs)
+    if not consistent:
         raise EmptySet("empty intersection")
-    coefficients = np.zeros(len(planes))
-    if not reduced.retained:
-        return ProjectionBreakdown(xv.copy(), coefficients, tuple(planes))
-    rhs = [float(np.dot(xv, p.u)) - p.eta for p in reduced.retained]
-    beta = solve_gram([p.u for p in reduced.retained], rhs)
     point = xv.copy()
-    for b, p in zip(beta, reduced.retained):
-        point -= b * p.u
-    for b, idx in zip(beta, reduced.retained_indices):
+    coefficients = np.zeros(len(planes))
+    for b, idx in zip(beta, kept):
+        point -= b * planes[idx].u
         coefficients[idx] = b
     return ProjectionBreakdown(point, coefficients, tuple(planes))
 

@@ -1,4 +1,4 @@
-"""Inner-product primitives with one dependence tolerance.
+"""Inner-product primitives, one dependence tolerance, and the row step.
 
 Vectors are one-dimensional numpy arrays of finite floats.  Linear
 dependence of a pair is decided relative to the Cauchy-Schwarz gap:
@@ -7,10 +7,12 @@ dependence of a pair is decided relative to the Cauchy-Schwarz gap:
     |u1| |u2| - |<u1, u2>|  <=  DEPENDENCE_TOL * |u1| |u2|
 
 which is scale invariant and reduces to the exact criterion as the
-tolerance goes to 0.  The residual test of :func:`extend_basis`, the
-step of the one greedy row scan :func:`_scan_rows` (and, for a stack of
-rows, of :func:`_extend_bases`), reads the same constant; no function
-takes an override.
+tolerance goes to 0.  The one greedy row scan :func:`_scan_rows` keeps a
+row when its residual against the kept rows (:func:`extend_basis`, or
+:func:`_extend_bases` for a stack) exceeds the same constant times its
+norm; a kept row updates the multipliers by one bordered step
+(:func:`_border`), with no Gram matrix and no LAPACK call.  No function
+takes a tolerance override.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .errors import DimensionMismatch, SingularGram
 
 DEPENDENCE_TOL = 1e-10
 
-SOLVE_RESIDUAL_TOL = 1e-10
-
 
 def as_vector(x) -> np.ndarray:
     """Coerce to a 1-D float array, rejecting NaN/Inf and empty input."""
@@ -37,13 +37,6 @@ def as_vector(x) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("coordinates must be finite")
     return arr
-
-
-def check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise DimensionMismatch(
-            f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}"
-        )
 
 
 def _as_block(vectors: Sequence) -> np.ndarray:
@@ -63,18 +56,30 @@ def inner(x, y) -> float:
     """Euclidean inner product of two vectors of equal length."""
     xv = as_vector(x)
     yv = as_vector(y)
-    check_same_dim(xv, yv)
+    if xv.shape != yv.shape:
+        raise DimensionMismatch(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
     return float(np.dot(xv, yv))
 
 
 def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a 1-D float array, bit for bit, without its overhead."""
-    return math.sqrt(float(v.dot(v)))
+    """``np.linalg.norm(v)`` of a 1-D float array, bit for bit, without its overhead.
+
+    A square that overflows (and warns) is taken again on ``v / max |v_i|``.
+    """
+    norm = math.sqrt(float(v.dot(v)))
+    if norm == math.inf:
+        scale = float(np.abs(v).max())
+        norm = scale * _norm(v / scale)
+    return norm
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """:func:`_norm` of each row of a 2-D float array, bit for bit (see :func:`row_dots`)."""
-    return np.sqrt(row_dots(v, v))
+    norms = np.sqrt(row_dots(v, v))
+    if np.maximum.reduce(norms, initial=0.0) == math.inf:
+        big = np.isinf(norms)
+        norms[big] = [_norm(row) for row in v[big]]
+    return norms
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,7 +147,8 @@ def classify_pair(u1, u2) -> PairClass:
     """
     v1 = as_vector(u1)
     v2 = as_vector(u2)
-    check_same_dim(v1, v2)
+    if v1.shape != v2.shape:
+        raise DimensionMismatch(f"dimension mismatch: {v1.shape[0]} vs {v2.shape[0]}")
     n1 = _norm(v1)
     n2 = _norm(v2)
     if n1 == 0.0 and n2 == 0.0:
@@ -164,47 +170,11 @@ def classify_pair(u1, u2) -> PairClass:
     return PairClass(tag, gamma)
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """Symmetrized ``a @ aᵀ`` of one block (r, d) or of a stack of blocks (n, r, d)."""
-    g = a @ np.swapaxes(a, -1, -2)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
-
-
-def solve_gram_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the Gram systems G(a[i]) beta[i] = b[i] of a stack of generator blocks.
-
-    ``a`` has shape (n, r, d) and ``b`` shape (n, r), r >= 1.  Returns
-    ``beta`` (n, r) and a boolean mask ``ok`` (n,).  Each system is
-    solved by Cholesky; an item whose Gram matrix does not factor, or
-    whose residual exceeds ``SOLVE_RESIDUAL_TOL * (1 + |b[i]|)``, has
-    numerically dependent generators and gets ``ok`` False.  The stacked
-    LAPACK calls give each item the bits a stack of one gives it, so
-    stacking changes no result.
-    """
-    g = _gram(a)
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full(b.shape, np.nan), np.zeros(1, dtype=bool)
-        # some item does not factor: solve the items one by one to find which
-        parts = [solve_gram_stack(a[i : i + 1], b[i : i + 1]) for i in range(len(a))]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    # b[..., None] reads b as a stack of columns under every numpy >= 1.24
-    y = np.linalg.solve(chol, b[..., None])
-    beta = np.linalg.solve(np.swapaxes(chol, -1, -2), y)
-    residual = (g @ beta)[..., 0] - b
-    ok = np.sqrt((residual * residual).sum(-1)) <= SOLVE_RESIDUAL_TOL * (
-        1.0 + np.sqrt((b * b).sum(-1))
-    )
-    return beta[..., 0], ok
-
-
 def solve_gram(generators: Sequence, rhs) -> np.ndarray:
     """Solve G(a_1..a_m) beta = rhs for linearly independent generators.
 
-    :func:`solve_gram_stack` on a stack of one; dependent generators
-    raise SingularGram.
+    ``beta`` is the row scan's (:func:`_scan_rows`) for ``rhs``; a
+    generator the scan drops as dependent raises SingularGram.
     """
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1 or b.shape[0] != len(generators):
@@ -213,10 +183,10 @@ def solve_gram(generators: Sequence, rhs) -> np.ndarray:
         )
     if len(generators) == 0:
         return np.zeros(0)
-    beta, ok = solve_gram_stack(_as_block(generators)[None], b[None])
-    if not ok[0]:
+    kept, (_, _, _, beta), _ = _scan_rows(_as_block(generators), rhs=b)
+    if len(kept) < len(generators):
         raise SingularGram("Gram matrix is singular; generators are numerically dependent")
-    return beta[0]
+    return beta
 
 
 def _residual(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -258,40 +228,62 @@ def _extend_bases(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return dependent, r[independent] / rnorm[independent, None]
 
 
-def _consistent(kept: Sequence[int], normals: np.ndarray, offsets: np.ndarray, row: int) -> bool:
-    """Whether a row whose normal depends on the ``kept`` rows has a matching offset.
+def _border(w: np.ndarray, p: np.ndarray, beta: np.ndarray, q: np.ndarray, v: np.ndarray, rhs):
+    """Add row ``v``, with unit residual ``q``, to the state (W, p, beta) of rows A.
 
-    The normal is sum_j c_j u_j over the kept rows (least squares); the
-    offset must be sum_j c_j eta_j within ``DEPENDENCE_TOL * (1 + |eta|)``,
-    or exactly zero for a zero normal.
+    W Aᵀ = I, p = -Aᵀ beta and <p, a_i> = -rhs_i.  With a = <q, v>,
+    c = W v, s = (<p, v> + rhs_v) / a and t = s / a (Greville's
+    bordering), W' = [W - c ⊗ q/a; q/a], p' = p - s q and
+    beta' = [beta - t c, t]: O(kd), and no normal is squared.  Shapes
+    are ``w`` (..., k, d), ``p``, ``q``, ``v`` (..., d), ``beta``
+    (..., k), ``rhs`` (...); every operation is elementwise, a per-row
+    dot or a per-item ``gemv``, so a stack gets the one-row bits.
     """
-    v, eta = normals[row], offsets[row]
-    if not v.any():
-        return eta == 0.0
-    coeff, *_ = np.linalg.lstsq(np.stack([normals[j] for j in kept], axis=1), v, rcond=None)
-    implied = float(sum(c * offsets[j] for c, j in zip(coeff, kept)))
-    return not abs(eta - implied) > DEPENDENCE_TOL * (1.0 + abs(eta))
+    a = row_dots(q, v)
+    c = (w @ v[..., None])[..., 0]
+    s = (row_dots(p, v) + rhs) / a
+    t = s / a
+    wq = (q / a[..., None])[..., None, :]
+    w = np.concatenate([w - c[..., None] * wq, wq], axis=-2)
+    return w, p - s[..., None] * q, np.concatenate([beta - t[..., None] * c, t[..., None]], axis=-1)
 
 
-def _scan_rows(normals: np.ndarray, offsets: np.ndarray | None = None) -> tuple:
+def _consistent(w: np.ndarray, v: np.ndarray, kept_offsets: np.ndarray, offset):
+    """Whether a row ``v`` that depends on rows A, whose W is ``w``, has a matching offset.
+
+    A's rows combine to v by c = W v (:func:`_border`), so the offset
+    must be <c, kept_offsets> within ``DEPENDENCE_TOL * (1 + |offset|)``,
+    or exactly zero for a zero normal.  Stacks as in :func:`_border`.
+    """
+    implied = row_dots((w @ v[..., None])[..., 0], kept_offsets)
+    fits = ~(np.abs(offset - implied) > DEPENDENCE_TOL * (1.0 + np.abs(offset)))
+    return np.where(v.any(axis=-1), fits, offset == 0.0)
+
+
+def _scan_rows(normals: np.ndarray, offsets: np.ndarray | None = None, rhs: np.ndarray | None = None):
     """Keep each row of ``normals`` (n, d), in order, that grows the basis of those kept.
 
-    Returns ``(kept, basis, consistent)``: the kept indices, the
-    orthonormal basis of their normals (:func:`extend_basis`) and whether
-    every dropped row passed :func:`_consistent` (which runs only with
-    ``offsets`` and stops at the first row that fails).
+    Returns the kept indices, their state ``(q, w, p, beta)``, q the
+    orthonormal basis and the rest as in :func:`_border` for ``rhs``
+    (zeros by default), and whether every dropped row passed
+    :func:`_consistent` (run only with ``offsets``, up to the first that
+    fails).  The norms rescale a square that overflows, so it is silenced.
     """
-    basis = np.empty_like(normals)
+    d = normals.shape[1]
+    q, w, p, beta = np.empty((0, d)), np.empty((0, d)), np.zeros(d), np.zeros(0)
+    rhs = np.zeros(len(normals)) if rhs is None else rhs
     kept: list[int] = []
     consistent = True
-    for row, v in enumerate(normals):
-        unit = extend_basis(basis[: len(kept)], v)
-        if unit is not None:
-            basis[len(kept)] = unit
-            kept.append(row)
-        elif consistent and offsets is not None:
-            consistent = _consistent(kept, normals, offsets, row)
-    return tuple(kept), basis[: len(kept)], consistent
+    with np.errstate(over="ignore"):
+        for row, v in enumerate(normals):
+            unit = extend_basis(q, v)
+            if unit is not None:
+                w, p, beta = _border(w, p, beta, unit, v, rhs[row])
+                q = np.concatenate([q, unit[None]])
+                kept.append(row)
+            elif consistent and offsets is not None:
+                consistent = bool(_consistent(w, v, offsets[kept], offsets[row]))
+    return tuple(kept), (q, w, p, beta), consistent
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,17 @@ The hyperplanes are scanned once by ``linalg._scan_rows``.  When x
 projected onto the kept rows is x itself (distance 0) and feasible, it
 is the projection and nothing more is visited; otherwise the subsets
 are walked one level at a time, in groups of at most ``GRAM_STACK``.
-A group's children, one boundary larger, extend their parents' bases
-of kept rows in one stacked Gram-Schmidt step (``linalg._extend_bases``);
-those that grew keep one row more, and their Gram systems are solved
-and candidates checked in one stacked call (``linalg.solve_gram_stack``)
-before they are walked.  A dependent boundary keeps its parent's rows
-when ``linalg._consistent`` accepts its offset, and otherwise ends its
-branch.  Every step is elementwise, a per-row dot or a per-item LAPACK
-call, so the results are bit for bit those of reducing and solving
-each subset on its own.
+Each active set carries the state of its kept rows down the walk: their
+orthonormal basis, the rows W with W Aᵀ = I, the displacement and the
+multipliers.  A group's children, one boundary larger, extend their
+parents' bases in one stacked Gram-Schmidt step
+(``linalg._extend_bases``); those that grew take one stacked bordered
+step (``linalg._border``) for their multipliers, and their candidates
+are checked before they are walked.  A dependent boundary keeps its
+parent's state when ``linalg._consistent`` accepts its offset, and
+otherwise ends its branch.  Every step is elementwise, a per-row dot or
+a per-item ``gemv``, so the results are bit for bit those of scanning
+each subset's rows on their own.
 
 :func:`kkt_check` evaluates the first-order optimality residuals of a
 proposed projection: stationarity of the quadratic objective, primal
@@ -40,13 +42,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
-from .linalg import _consistent, _extend_bases, _norm, _row_norms, _scan_rows, as_vector
-from .linalg import row_dots, solve_gram_stack
+from .linalg import _border, _consistent, _extend_bases, _norm, _row_norms, _scan_rows
+from .linalg import as_vector, row_dots
 from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty
 
 MAX_INEQUALITIES = 20
 
-# most Gram systems solved in one stacked call; bounds the stack's memory
+# most active sets stepped in one stacked call; bounds the stack's memory
 GRAM_STACK = 256
 
 KKT_TOL = 1e-9
@@ -200,14 +202,7 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
             beta_full[kept[i][is_eq]] = beta[i][is_eq]
             best = (dist, active, points[i].copy(), lam_full, beta_full)
 
-    def solve(actives: list, kept: np.ndarray) -> None:
-        # the Gram systems of active sets that keep the same number of rows
-        beta, ok = solve_gram_stack(normals[kept], rhs[kept])
-        ok = np.flatnonzero(ok & ~((beta < -tol) & (kept >= ne)).any(axis=1))
-        if len(ok):
-            consider([actives[i] for i in ok], kept[ok], beta[ok])
-
-    def walk(actives: list, lasts: np.ndarray, kept: np.ndarray, basis: np.ndarray, depth: int):
+    def walk(actives: list, lasts: np.ndarray, kept: np.ndarray, state: tuple, depth: int):
         # children of a group of active sets that keep the same rows count:
         # pair c adds boundary child[c] > the last of actives[parent[c]]
         counts = m - 1 - lasts
@@ -215,40 +210,45 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
         child = np.repeat(lasts + 1 - np.cumsum(counts) + counts, counts) + np.arange(len(parent))
         for start in range(0, len(parent), GRAM_STACK):
             par, i = parent[start : start + GRAM_STACK], child[start : start + GRAM_STACK]
-            dependent, units = _extend_bases(basis[par], normals[ne + i])
+            q, v = state[0][par], normals[ne + i]
+            dependent, units = _extend_bases(q, v)
             children = [actives[a] + (b,) for a, b in zip(par.tolist(), i.tolist())]
             grew = np.flatnonzero(~dependent)
-            if len(grew):
-                p, c = par[grew], i[grew]
+            if len(grew) == len(par):
+                grew, grown = slice(None), children  # all grew: a slice copies nothing
+            else:
                 grown = [children[j] for j in grew]
-                grown_kept = np.concatenate([kept[p], ne + c[:, None]], axis=1)
-                solve(grown, grown_kept)
+            if grown:
+                c, g = i[grew], par[grew]
+                grown_kept = np.concatenate([kept[g], ne + c[:, None]], axis=1)
+                w, p, beta = _border(state[1][g], state[2][g], state[3][g], units, v[grew], rhs[ne + c])
+                signs = np.flatnonzero(~((beta < -tol) & (grown_kept >= ne)).any(axis=1))
+                if len(signs):
+                    consider([grown[j] for j in signs], grown_kept[signs], beta[signs])
                 if depth > 1:
-                    grown_basis = np.concatenate([basis[p], units[:, None]], axis=1)
-                    walk(grown, c, grown_kept, grown_basis, depth - 1)
+                    grown_q = np.concatenate([q[grew], units[:, None]], axis=1)
+                    walk(grown, c, grown_kept, (grown_q, w, p, beta), depth - 1)
             if depth > 1 and dependent.any():
                 # a dependent row keeps its parent's rows, so its candidate is
                 # the parent's (with a larger key) but its supersets are new;
                 # one that contradicts the kept rows ends its branch
                 fits = np.flatnonzero(dependent)
-                fits = [j for j in fits if _consistent(kept[par[j]], normals, offsets, ne + i[j])]
-                p = par[fits]
-                walk([children[j] for j in fits], i[fits], kept[p], basis[p], depth - 1)
+                f = par[fits]
+                fits = fits[_consistent(state[1][f], v[fits], offsets[kept[f]], offsets[ne + i[fits]])]
+                f = par[fits]
+                walk([children[j] for j in fits], i[fits], kept[f], tuple(a[f] for a in state), depth - 1)
 
-    kept_eq, basis, consistent = _scan_rows(normals[:ne], offsets[:ne])
+    kept_eq, state, consistent = _scan_rows(normals[:ne], offsets[:ne], rhs[:ne])
     if not consistent:
         raise EmptySet("empty intersection")
     root_kept = np.array([kept_eq], dtype=np.intp)
-    if kept_eq:
-        solve([()], root_kept)
-    else:
-        consider([()], root_kept, np.zeros((1, 0)))
+    consider([()], root_kept, state[3][None])
     # a feasible root at distance 0 has the smallest key and distance, so no
     # active set can replace it; at a positive distance a candidate on a
     # boundary through the root's point can round nearer
     depth = min(m, xv.shape[0] - len(kept_eq))
     if (best is None or best[0] > 0.0) and depth > 0:
-        walk([()], np.array([-1]), root_kept, basis[None], depth)
+        walk([()], np.array([-1]), root_kept, tuple(a[None] for a in state), depth)
 
     if best is None:
         raise EmptySet("empty intersection")

@@ -2,11 +2,11 @@
 
 A hyperplane is {x : <x,u> = eta}; a halfspace is {x : <x,u> <= eta}.
 Zero normals are legal and classified rather than rejected: the set is
-then the whole space or empty depending on the offset, and callers can
-query that through :func:`is_whole_space` / :func:`is_empty`.  A
-nonzero normal whose squared norm underflows below the smallest normal
-float is rejected with ZeroNormal, so "zero normal" means the same to
-every projector and no projector divides by a subnormal |u|^2.
+then the whole space or empty depending on the offset, and
+:func:`is_empty` tells which.  A nonzero normal whose squared norm
+underflows below the smallest normal float is rejected with ZeroNormal,
+so "zero normal" means the same to every projector and no projector
+divides by a subnormal |u|^2.
 
 Each set computes three invariants of its normal once, when it is
 built: ``norm_sq`` (the float ``u.dot(u)``), ``norm`` (its square root,
@@ -87,15 +87,6 @@ class Halfspace(_LinearSet):
 
 
 LinearSet = Union[Hyperplane, Halfspace]
-
-
-def is_whole_space(s: LinearSet) -> bool:
-    """True when the set imposes no constraint (zero normal, feasible offset)."""
-    if not s.has_zero_normal:
-        return False
-    if isinstance(s, Hyperplane):
-        return s.eta == 0.0
-    return s.eta >= 0.0
 
 
 def is_empty(s: LinearSet) -> bool:

@@ -137,5 +137,13 @@ def feasible_point(rng, sets, max_tries=500, scale=3.0):
     return None
 
 
+def reconstruction(bd, x):
+    """x minus each recorded multiplier times its set's normal: ``bd.point`` to machine precision."""
+    p = np.array(x, dtype=float)
+    for c, s in zip(bd.coefficients, bd.sets):
+        p -= c * s.u
+    return p
+
+
 def region_counter():
     return {r: 0 for r in (Region.INSIDE_BOTH, Region.C1, Region.C2, Region.C3)}

@@ -38,6 +38,7 @@ from helpers import (
     plane_halfspace_ld,
     plane_halfspace_li,
     point_in_region,
+    reconstruction,
     region_counter,
 )
 
@@ -82,7 +83,7 @@ class TestProjectHyperplanes:
             for p in planes:
                 assert abs(np.dot(out.point, p.u) - p.eta) <= 1e-8
             np.testing.assert_allclose(
-                out.reconstruction(x), out.point, atol=1e-12
+                reconstruction(out, x), out.point, atol=1e-12
             )
 
 
@@ -209,7 +210,7 @@ class TestProjectHalfspacePair:
                 assert out.case is not None
                 assert min(out.coefficients, default=0.0) >= 0.0
                 np.testing.assert_allclose(
-                    out.reconstruction(x), out.point, atol=1e-12
+                    reconstruction(out, x), out.point, atol=1e-12
                 )
 
     def test_multiplier_signs_and_c3_on_both_boundaries(self):
@@ -409,7 +410,7 @@ class TestProjectHyperplaneHalfspace:
             assert abs(np.dot(out.point, h1.u) - h1.eta) <= 1e-10
             assert np.dot(out.point, w2.u) - w2.eta <= 1e-9
             assert out.coefficients[1] >= 0.0
-            np.testing.assert_allclose(out.reconstruction(x), out.point, atol=1e-12)
+            np.testing.assert_allclose(reconstruction(out, x), out.point, atol=1e-12)
             seen[out.region] += 1
             if out.region is Region.IN_C:
                 assert out.coefficients[1] > 0.0

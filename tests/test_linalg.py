@@ -16,12 +16,14 @@ from polyproj import (
 )
 from polyproj.linalg import (
     DEPENDENCE_TOL,
+    _border,
+    _consistent,
     _extend_bases,
     _norm,
     _row_norms,
+    _scan_rows,
     extend_basis,
     row_dots,
-    solve_gram_stack,
 )
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0).map(
@@ -136,32 +138,6 @@ class TestSolveGram:
             solve_gram([np.array([1.0, 0.0])], [1.0, 2.0])
 
 
-class TestSolveGramStack:
-    def test_stack_matches_single_solves_bit_for_bit(self):
-        rng = np.random.default_rng(12)
-        for r in range(1, 6):
-            a = rng.normal(size=(40, r, r + 2)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1, 1))
-            b = rng.normal(size=(40, r))
-            beta, ok = solve_gram_stack(a, b)
-            assert ok.all()
-            for i in range(len(a)):
-                assert np.array_equal(beta[i], solve_gram(list(a[i]), b[i]))
-
-    def test_singular_item_fails_alone(self):
-        # one dependent item makes the stacked Cholesky raise; the stack is
-        # then re-solved item by item, and only that item fails
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(5, 2, 3))
-        a[2, 1] = 2.0 * a[2, 0]
-        b = rng.normal(size=(5, 2))
-        beta, ok = solve_gram_stack(a, b)
-        assert ok.tolist() == [True, True, False, True, True]
-        for i in (0, 1, 3, 4):
-            assert np.array_equal(beta[i], solve_gram(list(a[i]), b[i]))
-        with pytest.raises(SingularGram):
-            solve_gram(list(a[2]), b[2])
-
-
 class TestRowDots:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9, 17])
     def test_each_row_has_the_bits_of_its_dot(self, dim):
@@ -230,6 +206,97 @@ class TestExtendBases:
                 kept = [e for e in expected if e is not None]
                 assert units.tobytes() == np.array(kept).reshape(-1, dim).tobytes()
             assert dependent[::3].all() and not dependent.all()
+
+
+def scanned_states(rng, n, k, dim):
+    """The states of n random stacks of k independent rows, each from a one-row scan."""
+    rows = rng.normal(size=(n, k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, k, 1))
+    rhs = rng.normal(size=(n, k))
+    scans = [_scan_rows(rows[i], rhs=rhs[i]) for i in range(n)]
+    assert all(kept == tuple(range(k)) for kept, _, _ in scans)
+    return rows, rhs, [state for _, state, _ in scans]
+
+
+class TestBorderedStep:
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_each_item_has_the_bits_of_the_one_row_step(self, dim):
+        # every k < d: a stack of steps against the step of each item alone,
+        # which is also the step the scan takes when it keeps the row
+        rng = np.random.default_rng(200 + dim)
+        n = 40
+        for k in range(dim):
+            rows, rows_rhs, states = scanned_states(rng, n, k, dim)
+            v = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            rhs = rng.normal(size=n)
+            q, w, p, beta = (np.stack(a) for a in zip(*states))
+            dependent, units = _extend_bases(q, v)
+            assert not dependent.any()
+            stacked = _border(w, p, beta, units, v, rhs)
+            for i, (qi, wi, pi, bi) in enumerate(states):
+                single = _border(wi, pi, bi, extend_basis(qi, v[i]), v[i], rhs[i])
+                for got, want in zip(stacked, single):
+                    assert got[i].tobytes() == want.tobytes()
+                _, (_, *scanned), _ = _scan_rows(np.vstack([rows[i], v[i]]), rhs=np.append(rows_rhs[i], rhs[i]))
+                for got, want in zip(single, scanned):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_state_invariants(self):
+        # W Aᵀ = I, <p, a_i> = -rhs_i and p = -Aᵀ beta, to rounding
+        rng = np.random.default_rng(210)
+        for dim in (2, 5, 9):
+            for k in range(1, dim + 1):
+                a = rng.normal(size=(k, dim))
+                rhs = rng.normal(size=k)
+                kept, (q, w, p, beta), _ = _scan_rows(a, rhs=rhs)
+                assert kept == tuple(range(k))
+                np.testing.assert_allclose(q @ q.T, np.eye(k), atol=1e-13)
+                np.testing.assert_allclose(w @ a.T, np.eye(k), atol=1e-12)
+                np.testing.assert_allclose(a @ p, -rhs, atol=1e-12)
+                np.testing.assert_allclose(p, -a.T @ beta, atol=1e-12)
+
+
+class TestStackedConsistent:
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_each_item_has_the_verdict_of_the_one_row_call(self, dim):
+        # every k < d; rows in the span of the kept rows, with the implied
+        # offset, one shifted by 1e-12 or by 0.5, and zero rows with a zero
+        # or a nonzero offset
+        rng = np.random.default_rng(300 + dim)
+        n = 60
+        seen = {True: 0, False: 0}
+        for k in range(dim):
+            rows, _, states = scanned_states(rng, n, k, dim)
+            kept_offsets = rng.normal(size=(n, k))
+            coeffs = rng.normal(size=(n, k))
+            v = (coeffs[:, :, None] * rows).sum(axis=1)
+            offset = (coeffs * kept_offsets).sum(axis=1) + rng.choice([0.0, 1e-12, 0.5], size=n)
+            v[::4] = 0.0
+            offset[::8] = 0.0
+            w = np.stack([state[1] for state in states])
+            stacked = _consistent(w, v, kept_offsets, offset)
+            single = [_consistent(w[i], v[i], kept_offsets[i], offset[i]) for i in range(n)]
+            assert stacked.tolist() == [bool(c) for c in single]
+            for verdict in stacked.tolist():
+                seen[verdict] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_zero_row_needs_a_zero_offset(self):
+        w = np.eye(2)[:1]
+        assert _consistent(w, np.zeros(2), np.array([3.0]), 0.0)
+        assert not _consistent(w, np.zeros(2), np.array([3.0]), 1e-300)
+
+
+class TestOverflowSafeNorms:
+    def test_finite_norm_of_rows_whose_square_overflows(self):
+        # the plain square overflows and warns; the rescaled norm is finite
+        rng = np.random.default_rng(220)
+        v = rng.normal(size=(50, 4)) * 10.0 ** rng.uniform(155, 300, size=(50, 1))
+        with np.errstate(over="ignore"):
+            got = _row_norms(v)
+            single = [_norm(row) for row in v]
+        assert got.tobytes() == np.array(single).tobytes()
+        want = [math.hypot(*row) for row in v]
+        np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 class TestMaxIndependentSubset:

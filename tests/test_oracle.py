@@ -245,16 +245,21 @@ class TestActiveSetPruning:
 
     def test_enumeration_capped_by_equality_rank(self, monkeypatch):
         # d = 5, one plane, 8 halfspaces: sum_{k<=4} C(8,k) = 163 active sets,
-        # each handed to the stacked Gram solve; duplicating the plane leaves
-        # rank(E) = 1, so the count must not move
-        solved = []
-        solve = polyproj.oracle.solve_gram_stack
+        # each built by one bordered step: the root's by the hyperplane scan,
+        # the other 162 by the walk; duplicating the plane leaves rank(E) = 1,
+        # so the count must not move
+        scanned, walked = [], []
+        step = polyproj.linalg._border
 
-        def counting_solve(a, b):
-            solved.append(len(a))
-            return solve(a, b)
+        def counting(steps):
+            def counting_step(w, p, beta, q, v, rhs):
+                steps.append(1 if v.ndim == 1 else len(v))
+                return step(w, p, beta, q, v, rhs)
 
-        monkeypatch.setattr(polyproj.oracle, "solve_gram_stack", counting_solve)
+            return counting_step
+
+        monkeypatch.setattr(polyproj.linalg, "_border", counting(scanned))
+        monkeypatch.setattr(polyproj.oracle, "_border", counting(walked))
         rng = np.random.default_rng(47)
         anchor = random_point(rng, 5, 1.0)
         u = unit_vector(rng, 5)
@@ -265,26 +270,28 @@ class TestActiveSetPruning:
             halfspaces.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.uniform(0.0, 1.0))))
         x = anchor + random_point(rng, 5)
         for planes in ([plane], [plane, plane]):
-            solved.clear()
+            scanned.clear()
+            walked.clear()
             oracle_project(planes + halfspaces, x)
-            assert sum(solved) == 163
-        # a parallel plane with another offset empties the set before any solve
-        solved.clear()
+            assert scanned == [1]
+            assert sum(scanned) + sum(walked) == 163
+        # a parallel plane with another offset empties the set before the walk
+        walked.clear()
         with pytest.raises(EmptySet):
             oracle_project([plane, Hyperplane(2.0 * plane.u, 2.0 * plane.eta + 1.0)] + halfspaces, x)
-        assert solved == []
+        assert walked == []
 
     def test_more_subsets_than_one_stack(self, monkeypatch):
         # d = 5, 11 halfspaces: C(11,5) = 462 active sets keep 5 rows, so that
-        # group is solved in more than one stack of at most GRAM_STACK
+        # level takes its bordered steps in more than one stack of at most GRAM_STACK
         solved = []
-        solve = polyproj.oracle.solve_gram_stack
+        step = polyproj.oracle._border
 
-        def counting_solve(a, b):
-            solved.append(len(a))
-            return solve(a, b)
+        def counting_step(w, p, beta, q, v, rhs):
+            solved.append(len(v))
+            return step(w, p, beta, q, v, rhs)
 
-        monkeypatch.setattr(polyproj.oracle, "solve_gram_stack", counting_solve)
+        monkeypatch.setattr(polyproj.oracle, "_border", counting_step)
         rng = np.random.default_rng(48)
         anchor = random_point(rng, 5, 1.0)
         sets = []
@@ -456,10 +463,44 @@ class TestExactReferee:
         assert min(outcomes.values()) > 0, outcomes
 
 
+def near_dependent_triple(rng, theta):
+    """Three hyperplanes through an anchor in R^4: u1 and u2 random unit
+    normals, and u3 a unit normal at angle ``theta`` to their span."""
+    u1, u2 = unit_vector(rng, 4), unit_vector(rng, 4)
+    basis = np.linalg.qr(np.column_stack([u1, u2, rng.normal(size=(4, 2))]))[0].T
+    m = unit_vector(rng, 2) @ basis[:2]
+    u3 = np.cos(theta) * m + np.sin(theta) * basis[2]
+    anchor = random_point(rng, 4, 1.0)
+    planes = [Hyperplane(u, float(np.dot(u, anchor))) for u in (u1, u2, u3)]
+    return planes, anchor + random_point(rng, 4, 2.0)
+
+
+class TestNearDependentAccuracy:
+    @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-6])
+    def test_hyperplane_triples_match_exact_projection(self, theta):
+        # Bound, fixed before the first run: the point lies within
+        # 1e3 * eps * (1 + |x|) / theta of the exact projection of the float
+        # inputs, eps = 2.2e-16.  The rows have condition number about
+        # 1 / theta, and a method that never squares it moves the point by
+        # rounding times that condition number, times a modest constant.
+        # Solving the normal equations squares it, an error near
+        # eps * |x| / theta^2.  Both project_hyperplanes and the oracle,
+        # which share the row scan, are held to the bound.
+        eps = float(np.finfo(float).eps)
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            planes, x = near_dependent_triple(rng, theta)
+            exact = exact_project(planes, x)
+            bound = Fraction(1e3 * eps * (1.0 + float(np.linalg.norm(x))) / theta)
+            for point in (project_hyperplanes(planes, x).point, oracle_project(planes, x).point):
+                err_sq = sum((Fraction(float(p)) - e) ** 2 for p, e in zip(point, exact))
+                assert err_sq <= bound**2
+
+
 class TestHyperplaneRowMembership:
     def test_plane_dropped_as_dependent_still_binds(self, monkeypatch):
         # at a dependence tolerance of 1e-3 the second plane, tilted by 1e-5,
-        # counts as a copy of the first and leaves the Gram solve; the planes
+        # counts as a copy of the first and is dropped by the row scan; the planes
         # still meet only on the x3 axis, so any point returned must lie on
         # both.  The tolerance is raised at every binding the row step reads.
         for module in (polyproj.linalg,):
