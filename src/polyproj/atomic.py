@@ -1,18 +1,20 @@
-"""Closed-form projectors onto a single hyperplane or halfspace.
+"""The single-set layer: closed-form projection onto one hyperplane or halfspace.
 
-Both projectors take one step, :func:`step`, along the normal:
+Every path onto one set takes one step, :func:`step`, along the normal:
 
     P_H x = x + (eta - <x,u>) / |u|^2 * u
 
-and the halfspace projector applies that step only when the point is
-strictly outside.  Points within the boundary tolerance are returned
+and a halfspace takes it only when the point is strictly outside.
+Points within ``sets.membership_bound`` at ``BOUNDARY_TOL`` are returned
 unchanged (both branches agree on the boundary, so snapping avoids a
 needless perturbation).
 
-A block of points has two paths.  One point goes through
-:func:`project_onto`, which costs less per call.  Many points, each onto
-its own set, go through :func:`project_rows` on a :class:`SetBlock`:
-row i of the block is projected onto set i in a few numpy calls.
+:func:`project_onto` checks one set and one point, then steps;
+``project_hyperplane`` and ``project_halfspace`` are the same function.
+Callers whose input is already checked (``iterate.dykstra``, the
+closed-form projectors) call :func:`step`.  Many points, each onto its
+own set, go through :func:`project_rows` on a :class:`SetBlock`: row i
+of the block is projected onto set i in a few numpy calls.
 ``closed_form.project_pair_rows`` does the same for pairs of sets.
 
 Bit for bit.  A row kernel gives each row the bits the per-point path
@@ -42,14 +44,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet
-from .linalg import _row_norms, row_dots
+from .linalg import _norm, _row_norms, row_dots
 from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
 BOUNDARY_TOL = 1e-12
 
 
 def step(s: LinearSet, xv: np.ndarray) -> tuple[np.ndarray, float]:
-    """Step onto a nonempty hyperplane or halfspace; returns (point, multiplier).
+    """Step a checked point onto a nonempty hyperplane or halfspace; returns (point, multiplier).
 
     With ``gap = eta - <x,u>`` the point moves to ``x + gap / |u|^2 * u``,
     with multiplier ``-gap / |u|^2``, when the set is a hyperplane with a
@@ -60,39 +62,23 @@ def step(s: LinearSet, xv: np.ndarray) -> tuple[np.ndarray, float]:
     """
     gap = s.eta - float(np.dot(xv, s.u))
     always_moves = isinstance(s, Hyperplane) and not s.has_zero_normal
-    if not always_moves and -gap <= membership_bound(s, xv, BOUNDARY_TOL):
+    if not always_moves and -gap <= membership_bound(s.eta, s.norm, _norm(xv), BOUNDARY_TOL):
         return xv.copy(), 0.0
     t = gap / s.norm_sq
     return xv + t * s.u, -t
 
 
-def project_hyperplane(plane: Hyperplane, x) -> np.ndarray:
-    """Nearest point of the hyperplane.
-
-    A zero normal with zero offset is the whole space (identity); a zero
-    normal with nonzero offset is the empty set and raises EmptySet.
-    """
-    xv = checked_point((plane,), x)
-    if is_empty(plane):
-        raise EmptySet("hyperplane with zero normal and nonzero offset is empty")
-    return step(plane, xv)[0]
-
-
-def project_halfspace(half: Halfspace, x) -> np.ndarray:
-    """Nearest point of the halfspace: identity inside, boundary projection outside."""
-    xv = checked_point((half,), x)
-    if is_empty(half):
-        raise EmptySet("halfspace with zero normal and negative offset is empty")
-    return step(half, xv)[0]
-
-
 def project_onto(s: LinearSet, x) -> np.ndarray:
-    """Dispatch to the hyperplane or halfspace projector."""
-    if isinstance(s, Halfspace):
-        return project_halfspace(s, x)
-    if isinstance(s, Hyperplane):
-        return project_hyperplane(s, x)
-    raise TypeError(f"cannot project onto {type(s).__name__}")
+    """Nearest point of a hyperplane or halfspace; EmptySet when the set is empty."""
+    if not isinstance(s, (Hyperplane, Halfspace)):
+        raise TypeError(f"cannot project onto {type(s).__name__}")
+    xv = checked_point((s,), x)
+    if is_empty(s):
+        raise EmptySet(f"{s.kind} with zero normal and offset {s.eta!r} is empty")
+    return step(s, xv)[0]
+
+
+project_hyperplane = project_halfspace = project_onto
 
 
 class SetBlock:
@@ -143,8 +129,7 @@ def _step_rows(u, eta, norm_sq, norm, always_moves, xb) -> tuple[np.ndarray, np.
     moves it.  Other rows come back unchanged.
     """
     gap = eta - row_dots(xb, u)
-    bound = BOUNDARY_TOL * (1.0 + np.abs(eta) + norm * _row_norms(xb))
-    moved = always_moves | (gap < -bound)
+    moved = always_moves | (gap < -membership_bound(eta, norm, _row_norms(xb), BOUNDARY_TOL))
     t = np.divide(gap, norm_sq, out=np.zeros_like(gap), where=moved)
     return np.where(moved[:, None], xb + t[:, None] * u, xb), moved
 

@@ -9,7 +9,9 @@ results with (the ``tol`` of the oracle and of ``certify``, which also
 checks the closed form's point against the input sets); it is the only
 tolerance override.  ``experiment`` judges its rows by fixed
 thresholds: ``iterate.RATE_SLACK``, ``EXACTNESS_TOL``,
-``sets.MEMBERSHIP_TOL`` (through ``contains``) and ``DYKSTRA_MATCH_TOL``.
+``sets.MEMBERSHIP_TOL`` (through ``sets.membership_bound``, the rule
+``contains`` applies) and ``DYKSTRA_MATCH_TOL``; a config key other than
+the five of :class:`ExperimentConfig` is rejected.
 """
 
 from __future__ import annotations
@@ -34,13 +36,7 @@ from .instances import (
 )
 from .iterate import RATE_SLACK, BehaviorTag, dykstra, rate_gamma
 from .oracle import KKT_TOL, KktCertificate, oracle_project
-from .sets import (
-    Halfspace,
-    Membership,
-    contains,
-    instance_to_dict,
-    load_instance,
-)
+from .sets import MEMBERSHIP_TOL, Halfspace, instance_to_dict, load_instance, membership_bound
 from .atomic import SetBlock, project_rows
 from .linalg import _norm, _row_norms, row_dots
 
@@ -221,10 +217,11 @@ def _load_config(path) -> ExperimentConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-    if "tolerances" in raw:
-        raise ValueError("config key 'tolerances' is not supported; experiment thresholds are fixed")
     keys = ("seed", "dim", "trials", "case_filter", "k_max")
-    return ExperimentConfig(**{key: raw[key] for key in keys if key in raw})
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}; experiment configs accept {', '.join(keys)}")
+    return ExperimentConfig(**raw)
 
 
 def _tally(counts, family, ok) -> None:
@@ -318,19 +315,20 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
         exact = [i for i, r in enumerate(ref_rows) if r is not None]
         misses = composed[exact] - references[[ref_rows[i] for i in exact]]
         deviations = dict(zip(exact, _row_norms(misses).tolist()))
-    # one_step_feasible's violation: max(<c,u1> - eta1, <c,u2> - eta2, 0.0)
-    gaps1 = (row_dots(composed, first_block.u) - first_block.eta).tolist()
-    gaps2 = (row_dots(composed, second_block.u) - second_block.eta).tolist()
-    for i, (trial, family, first, second) in enumerate(zip(trials, families, firsts, seconds)):
+    # one_step_feasible's violation max(<c,u1> - eta1, <c,u2> - eta2, 0.0); it
+    # is ok when no gap is above membership_bound, where contains says OUTSIDE
+    blocks, norms = (first_block, second_block), _row_norms(composed)
+    gaps1, gaps2 = (row_dots(composed, b.u) - b.eta for b in blocks)
+    bound1, bound2 = (membership_bound(b.eta, b.norm, norms, MEMBERSHIP_TOL) for b in blocks)
+    feasible = ((gaps1 <= bound1) & (gaps2 <= bound2)).tolist()
+    gaps1, gaps2 = gaps1.tolist(), gaps2.tolist()
+    for i, (trial, family) in enumerate(zip(trials, families)):
         if i in deviations:
             dev = deviations[i]
             ok = dev <= EXACTNESS_TOL
         else:
             dev = max(gaps1[i], gaps2[i], 0.0)
-            ok = (
-                contains(first, composed[i]) is not Membership.OUTSIDE
-                and contains(second, composed[i]) is not Membership.OUTSIDE
-            )
+            ok = feasible[i]
         rows.append([trial, family, dev, ok])
         _tally(counts, family, ok)
 

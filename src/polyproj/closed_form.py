@@ -33,7 +33,7 @@ import numpy as np
 
 from .atomic import SetBlock, _step_rows, step
 from .errors import DependentNormals, DimensionMismatch, EmptySet, ZeroNormal
-from .linalg import DEPENDENCE_TOL, PairTag, _scan_rows, classify_pair, row_dots
+from .linalg import DEPENDENCE_TOL, PairTag, _norm, _scan_rows, classify_pair, row_dots
 from .oracle import KKT_TOL, KktCertificate, kkt_check
 from .sets import (
     _TINY,
@@ -373,20 +373,26 @@ def project_hyperplanes(planes: Sequence[Hyperplane], x) -> ProjectionBreakdown:
 def project(sets: Sequence[LinearSet], x) -> ProjectionBreakdown:
     """Project onto a family of sets that has a closed form.
 
-    The families are hyperplane systems, halfspace pairs, and one
-    hyperplane plus one halfspace (in either order); any other family
-    raises ValueError.
+    The families are hyperplane systems, one halfspace (one
+    ``atomic.step``), halfspace pairs, and one hyperplane plus one
+    halfspace (in either order); any other family raises ValueError.
     """
     halfspaces = [s for s in sets if isinstance(s, Halfspace)]
     hyperplanes = [s for s in sets if isinstance(s, Hyperplane)]
     if not halfspaces:
         return project_hyperplanes(hyperplanes, x)
+    if len(sets) == 1:
+        xv = checked_point(halfspaces, x)
+        if is_empty(halfspaces[0]):
+            raise EmptySet("empty intersection")
+        point, t = step(halfspaces[0], xv)
+        return ProjectionBreakdown(point, np.array([t]), tuple(halfspaces))
     if len(sets) == 2 and len(halfspaces) == 2:
         return project_halfspace_pair(*halfspaces, x)
     if len(sets) == 2 and len(hyperplanes) == 1:
         return project_hyperplane_halfspace(hyperplanes[0], halfspaces[0], x)
     raise ValueError(
-        "closed_form supports hyperplane systems, halfspace pairs, "
+        "closed_form supports hyperplane systems, one halfspace, halfspace pairs, "
         "and hyperplane+halfspace pairs"
     )
 
@@ -410,6 +416,6 @@ def certify(bd: ProjectionBreakdown, x, tol: float = KKT_TOL) -> KktCertificate:
     # |<p,u> - eta| for hyperplanes, <p,u> - eta for halfspaces
     gaps = [float(np.dot(p, s.u)) - s.eta for s in bd.inputs]
     gaps = [abs(g) if isinstance(s, Hyperplane) else g for s, g in zip(bd.inputs, gaps)]
-    if any(g > membership_bound(s, p, tol) for s, g in zip(bd.inputs, gaps)):
+    if any(g > membership_bound(s.eta, s.norm, _norm(p), tol) for s, g in zip(bd.inputs, gaps)):
         cert = replace(cert, feasibility_residual=max(cert.feasibility_residual, *gaps), valid=False)
     return cert

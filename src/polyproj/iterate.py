@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import EmptySet, ZeroNormal
 from .linalg import PairClass, PairTag, _norm, as_vector, classify_pair
-from .sets import Halfspace, Hyperplane, LinearSet, is_empty
-from .atomic import project_onto
+from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty
+from .atomic import step
 
 STEP_TOL = 1e-12
 
@@ -76,9 +76,9 @@ def compose_iterate(
         for proj in projectors:
             nxt = proj(nxt)
         iterates.append(nxt)
-        step = _norm(nxt - current)
+        displacement = _norm(nxt - current)
         current = nxt
-        if step <= threshold:
+        if displacement <= threshold:
             stop = StopReason.CONVERGED
             break
     return IterationTrace(iterates, stop)
@@ -104,7 +104,7 @@ def dykstra(
     for s in sets:
         if is_empty(s):
             raise EmptySet("a constraint set is empty")
-    x0 = as_vector(x)
+    x0 = checked_point(sets, x)
     current = x0.copy()
     corrections = [np.zeros_like(x0) for _ in sets]
     iterates = [x0.copy()]
@@ -114,7 +114,7 @@ def dykstra(
         # one full cycle: re-add each set's correction, project, update it
         for i, s in enumerate(sets):
             shifted = current + corrections[i]
-            current = project_onto(s, shifted)
+            current = step(s, shifted)[0]
             corrections[i] = shifted - current
         iterates.append(current.copy())
         if _norm(current - previous) <= tol:

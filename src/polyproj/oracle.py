@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
 from .linalg import _border, _consistent, _extend_bases, _norm, _row_norms, _scan_rows
 from .linalg import as_vector, row_dots
-from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty
+from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
 MAX_INEQUALITIES = 20
 
@@ -173,7 +173,6 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
     normals = np.array([s.u for s in rows]).reshape(len(rows), xv.shape[0])
     offsets = np.array([s.eta for s in rows])
     rhs = np.array([float(np.dot(xv, s.u)) for s in rows]) - offsets
-    slack_base = 1.0 + np.abs(offsets)
     normal_norms = np.array([s.norm for s in rows])
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -185,10 +184,9 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
         points = np.repeat(xv[None], len(kept), axis=0)
         for j in range(kept.shape[1]):
             points -= beta[:, j, None] * normals[kept[:, j]]
-        # membership_bound's arithmetic for all rows at once
         gaps = row_dots(points[:, None, :], normals) - offsets
         gaps[:, :ne] = np.abs(gaps[:, :ne])
-        bounds = tol * (slack_base + normal_norms * _row_norms(points)[:, None])
+        bounds = membership_bound(offsets, normal_norms, _row_norms(points)[:, None], tol)
         feasible = np.flatnonzero(~(gaps > bounds).any(axis=1))
         if not len(feasible):
             return

@@ -21,8 +21,9 @@ Membership is tolerance-based.  A point sits on the boundary when
 
     |<x,u> - eta|  <=  tol * (1 + |eta| + |u| |x|)
 
-which keeps the test meaningful across scales; ``tol`` is
-``MEMBERSHIP_TOL``.
+which keeps the test meaningful across scales.  :func:`membership_bound`
+is its one copy, for one point or a block of rows: :func:`contains` reads
+it at ``MEMBERSHIP_TOL``, ``atomic.step`` at ``BOUNDARY_TOL``.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ class Membership(enum.Enum):
     OFF = "Off"
 
 
-def membership_bound(s: LinearSet, x: np.ndarray, tol: float) -> float:
-    """``tol * (1 + |eta| + |u| |x|)`` for a 1-D float array ``x``."""
-    return tol * (1.0 + abs(s.eta) + s.norm * _norm(x))
+def membership_bound(eta, norm, xnorm, tol):
+    """``tol * (1 + |eta| + |u| |x|)`` from floats, or entry by entry from arrays that broadcast."""
+    return tol * (1.0 + abs(eta) + norm * xnorm)
 
 
 def checked_point(sets: Sequence[LinearSet], x) -> np.ndarray:
@@ -128,7 +129,7 @@ def contains(s: LinearSet, x) -> Membership:
     """
     xv = checked_point((s,), x)
     value = float(np.dot(xv, s.u)) - s.eta
-    bound = membership_bound(s, xv, MEMBERSHIP_TOL)
+    bound = membership_bound(s.eta, s.norm, _norm(xv), MEMBERSHIP_TOL)
     if isinstance(s, Hyperplane):
         return Membership.ON_PLANE if abs(value) <= bound else Membership.OFF
     if abs(value) <= bound:
@@ -188,11 +189,13 @@ def instance_from_dict(data: dict) -> Instance:
     "points": [[...], ...]}.  Raises ValueError on malformed input.
     """
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         raw_sets = data["sets"]
         raw_points = data["points"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"instance is missing required field: {exc}") from exc
+    if type(dim) is not int:  # JSON reads 2.7 as a float and true as a bool
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError("dim must be at least 1")
     sets: list[LinearSet] = []

@@ -14,7 +14,8 @@ from polyproj import (
     project_onto,
 )
 from polyproj.atomic import BOUNDARY_TOL, SetBlock, project_rows, step
-from polyproj.sets import membership_bound
+from polyproj.linalg import _norm
+from polyproj.sets import Membership, contains, membership_bound
 
 coords = st.lists(
     st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=5
@@ -76,7 +77,7 @@ class TestStep:
             assert xi == -gap
             point, lam = step(half, x)
             value = float(np.dot(x, u)) - eta
-            if value <= membership_bound(half, x, BOUNDARY_TOL):
+            if value <= membership_bound(half.eta, half.norm, _norm(x), BOUNDARY_TOL):
                 assert point.tobytes() == x.tobytes() and lam == 0.0
             else:
                 t = value / half.norm_sq
@@ -115,6 +116,23 @@ class TestProjectHalfspace:
         w = Halfspace([1.0, 0.0], 1.0)
         x = np.array([1.0 + 1e-15, 2.0])
         np.testing.assert_array_equal(project_halfspace(w, x), x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_point_whose_square_overflows(self):
+        # |x|^2 overflows, but |x| is rescaled, so the bound stays finite
+        # and the point, 1e155 outside, is moved onto the boundary
+        w, x = Halfspace([1.0, 0.0], 0.0), [1e155, 0.0]
+        assert project_halfspace(w, x).tolist() == [0.0, 0.0]
+        assert contains(w, x) is Membership.OUTSIDE
+
+    def test_one_body_for_every_kind(self):
+        # the three names are one function: each projects onto whatever
+        # linear set it is given, and rejects anything else
+        assert project_halfspace is project_onto and project_hyperplane is project_onto
+        h, x = Hyperplane([1.0, 0.0], 1.0), [3.0, 2.0]
+        assert project_halfspace(h, x).tolist() == [1.0, 2.0]
+        with pytest.raises(TypeError):
+            project_onto("plane", x)
 
 
 class TestProjectorProperties:

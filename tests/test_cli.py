@@ -113,6 +113,21 @@ class TestProject:
         assert result["multipliers"] == [2.0, 3.0]
         assert result["certificate"]["valid"] is True
 
+    def test_one_halfspace_by_every_method(self, tmp_path, capsys):
+        # the instance schema's own example: one halfspace, x1 <= 1, at (2, 0)
+        path = self._write_instance(
+            tmp_path,
+            {"dim": 2, "sets": [{"kind": "halfspace", "u": [1.0, 0.0], "eta": 1.0}], "points": [[2.0, 0.0]]},
+        )
+        results = {}
+        for method in ("closed_form", "oracle", "dykstra"):
+            code, out, _ = run(["project", "--instance", path, "--method", method], capsys)
+            assert code == 0
+            results[method] = json.loads(out)
+            assert results[method]["point"] == [1.0, 0.0]
+        assert results["closed_form"]["multipliers"] == results["oracle"]["multipliers"] == [1.0]
+        assert results["closed_form"]["certificate"]["valid"] is True
+
     def test_underflowing_normal_rejected(self, tmp_path, capsys):
         # |u|^2 of a nonzero u underflows to 0: a typed input error, exit 1
         path = self._write_instance(
@@ -458,13 +473,16 @@ class TestExperiment:
         assert "case_filter" in err
 
     def test_tolerances_key_rejected(self, tmp_path, capsys):
-        path = self._write_config(tmp_path, tolerances={"exactness": 1e-3})
-        out_dir = tmp_path / "x"
-        code, out, err = run(["experiment", "--config", path, "--out", str(out_dir)], capsys)
-        assert code == 1
-        assert out == ""
-        assert "tolerances" in err
-        assert not out_dir.exists()
+        # the removed thresholds key, and a misspelt "trials", which would
+        # otherwise be ignored: every key outside the five is an error
+        for key, value in (("tolerances", {"exactness": 1e-3}), ("trails", 2)):
+            path = self._write_config(tmp_path, **{key: value})
+            out_dir = tmp_path / "x"
+            code, out, err = run(["experiment", "--config", path, "--out", str(out_dir)], capsys)
+            assert code == 1
+            assert out == ""
+            assert repr(key) in err
+            assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "key, value",

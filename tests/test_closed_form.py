@@ -27,6 +27,7 @@ from polyproj.instances import (
     random_point,
     unit_vector,
 )
+from polyproj.linalg import _norm
 from polyproj.sets import membership_bound
 
 from helpers import (
@@ -319,7 +320,7 @@ class TestDependentStepsMatchAtomic:
                 on_boundary = active.eta / float(np.dot(active.u, active.u)) * active.u
                 just_outside = on_boundary + (1e-14 / float(np.dot(active.u, active.u))) * active.u
                 value = float(np.dot(just_outside, active.u)) - active.eta
-                assert 0.0 < value <= membership_bound(active, just_outside, 1e-12)
+                assert 0.0 < value <= membership_bound(active.eta, active.norm, _norm(just_outside), 1e-12)
                 points = [just_outside, on_boundary + active.u] + [
                     random_point(rng, dim) for _ in range(20)
                 ]
@@ -601,10 +602,33 @@ class TestProjectAndCertify:
             if out.case != "merged_halfspace":
                 assert out.inputs is out.sets
 
+    def test_one_halfspace_is_one_step(self):
+        rng = np.random.default_rng(83)
+        for dim in (1, 2, 3, 5):
+            for _ in range(40):
+                w = Halfspace(unit_vector(rng, dim) * rng.uniform(0.1, 10.0), random_offset(rng))
+                x = random_point(rng, dim)
+                out = project([w], x)
+                assert out.point.tobytes() == project_halfspace(w, x).tobytes()
+                assert out.sets == (w,) and out.inputs == (w,)
+                assert out.region is None and out.case is None
+                cert = certify(out, x)
+                assert cert.valid
+                assert cert.lam.tobytes() == out.coefficients.tobytes()
+                point, ref = oracle_project([w], x)
+                np.testing.assert_allclose(out.point, point, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(cert.lam, ref.lam, rtol=1e-9, atol=1e-12)
+
+    def test_one_empty_halfspace_raises(self):
+        with pytest.raises(EmptySet, match="empty intersection"):
+            project([Halfspace([0.0, 0.0], -1.0)], [1.0, 2.0])
+        out = project([Halfspace([0.0, 0.0], 1.0)], [1.0, 2.0])
+        assert out.point.tolist() == [1.0, 2.0] and out.coefficients.tolist() == [0.0]
+
     def test_unsupported_families_raise(self):
         w = [Halfspace(u, 1.0) for u in np.eye(3)]
         h = [Hyperplane([1.0, 1.0, 0.0], 0.0), Hyperplane([0.0, 1.0, 1.0], 0.0)]
-        for sets in ([w[0]], w, h + [w[0]]):
+        for sets in (w, h + [w[0]]):
             with pytest.raises(ValueError, match="closed_form supports"):
                 project(sets, [1.0, 2.0, 3.0])
 

@@ -175,9 +175,10 @@ def full_enumeration(sets, x, tol=1e-9):
         lam_active = multipliers[len(eq):]
         if np.any(lam_active < -tol):
             continue
-        if any(abs(float(np.dot(point, s.u)) - s.eta) > membership_bound(s, point, tol) for s in eq):
+        pnorm = polyproj.linalg._norm(point)
+        if any(abs(float(np.dot(point, s.u)) - s.eta) > membership_bound(s.eta, s.norm, pnorm, tol) for s in eq):
             continue
-        if any(float(np.dot(point, s.u)) - s.eta > membership_bound(s, point, tol) for s in ineq):
+        if any(float(np.dot(point, s.u)) - s.eta > membership_bound(s.eta, s.norm, pnorm, tol) for s in ineq):
             continue
         lam = np.zeros(m)
         for pos, i in enumerate(active):
@@ -453,7 +454,7 @@ class TestExactReferee:
                 for s in sets:
                     gap = sum(Fraction(float(p)) * Fraction(float(c)) for p, c in zip(point, s.u)) - Fraction(s.eta)
                     gap = abs(gap) if s.kind == "hyperplane" else gap
-                    assert gap <= Fraction(membership_bound(s, point, KKT_TOL))
+                    assert gap <= Fraction(membership_bound(s.eta, s.norm, polyproj.linalg._norm(point), KKT_TOL))
                 continue
             outcomes["point"] += 1
             point, cert = oracle_project(sets, x)

@@ -12,6 +12,7 @@ from polyproj import (
     certify,
     classify_region_halfspace_pair,
     contains,
+    dykstra,
     instance_from_dict,
     instance_to_dict,
     is_empty,
@@ -76,6 +77,9 @@ _WRONG_DIMENSION_CALLS = {
     "kkt_check-p-no-sets": lambda: kkt_check([], _X2, _X3, [], []),
     "oracle_project": lambda: oracle_project([_H, _W], _X3),
     "oracle_project-set": lambda: oracle_project([_H, _W3], _X2),
+    "dykstra": lambda: dykstra([_H, _W], _X3),
+    "dykstra-set": lambda: dykstra([_H, _W3], _X2),
+    "project-one-set": lambda: project([_W], _X3),
 }
 
 
@@ -278,6 +282,9 @@ class TestInstanceSchema:
             lambda d: d["sets"][0].update(kind="ball"),
             lambda d: d["sets"][0].update(u=[1.0]),
             lambda d: d["points"].append([1.0, 2.0, 3.0]),
+            lambda d: d.update(dim=2.7),
+            lambda d: d.update(dim=True),
+            lambda d: d.update(dim="2"),
         ],
     )
     def test_malformed_rejected(self, mutation):
