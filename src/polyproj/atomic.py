@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySet
 from .linalg import _norm, _row_norms, row_dots
-from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
+from .sets import Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
 BOUNDARY_TOL = 1e-12
 
@@ -70,8 +70,6 @@ def step(s: LinearSet, xv: np.ndarray) -> tuple[np.ndarray, float]:
 
 def project_onto(s: LinearSet, x) -> np.ndarray:
     """Nearest point of a hyperplane or halfspace; EmptySet when the set is empty."""
-    if not isinstance(s, (Hyperplane, Halfspace)):
-        raise TypeError(f"cannot project onto {type(s).__name__}")
     xv = checked_point((s,), x)
     if is_empty(s):
         raise EmptySet(f"{s.kind} with zero normal and offset {s.eta!r} is empty")
@@ -95,12 +93,10 @@ class SetBlock:
     def __init__(self, sets: Sequence[LinearSet]):
         if len(sets) == 0:
             raise ValueError("need at least one set")
+        checked_point(sets, getattr(sets[0], "u", None))  # all sets, of one dimension
         for i, s in enumerate(sets):
-            if not isinstance(s, (Hyperplane, Halfspace)):
-                raise TypeError(f"cannot project onto {type(s).__name__}")
             if is_empty(s):
                 raise EmptySet(f"set {i} ({s.kind} with zero normal) is empty")
-        checked_point(sets, sets[0].u)  # DimensionMismatch unless all share one dimension
         self.u = np.array([s.u for s in sets])
         self.eta = np.array([s.eta for s in sets])
         self.norm_sq = np.array([s.norm_sq for s in sets])

@@ -1,20 +1,21 @@
 """Closed-form projectors onto intersections of linear sets.
 
-Three intersections admit explicit formulas:
+Two families of intersections admit explicit formulas:
 
-* finitely many hyperplanes, via a Gram solve on an independent
-  subfamily of the normals;
-* two halfspaces, split into a dependent-normal dispatch (the
-  intersection collapses to the whole space, one of the sets, a single
-  halfspace with a merged normal, a slab, or nothing) and an
-  independent-normal dispatch over four point regions;
-* a hyperplane and a halfspace, where the multiplier on the halfspace
-  normal is either strictly positive (both boundaries active) or zero
-  (the plane projection already satisfies the halfspace).
+* finitely many hyperplanes, via the one row scan (``linalg._scan_rows``)
+  on an independent subfamily of the normals;
+* a halfspace or a hyperplane, then a halfspace.  A hyperplane is a
+  constraint whose multiplier is free in sign, so one body,
+  :func:`project_halfspace_pair`, projects both pair families.
+  Dependent normals (``linalg._dependent``) collapse the intersection to
+  the whole space, one of the sets, a merged halfspace, a slab, or
+  nothing (one emptiness rule, ``_contradicts``).  Independent normals
+  take the point's region: INSIDE_BOTH, C1, C2 or C3 for two halfspaces;
+  for a hyperplane IN_C, C3's 2x2 formula, when the plane projection
+  violates the halfspace, and otherwise NOT_IN_C, C1's plane projection.
 
-The two pair projectors also come as one row kernel,
-:func:`project_pair_rows`, which projects a block of points, each onto
-its own pair, with the bits the per-point projectors give.
+:func:`project_pair_rows` projects a block of points, each onto its own
+pair, with the bits the pair projector gives each alone.
 
 Every projector returns a :class:`ProjectionBreakdown` carrying the
 projected point together with the sets it used and a multiplier on
@@ -33,8 +34,8 @@ import numpy as np
 
 from .atomic import SetBlock, _step_rows, step
 from .errors import DependentNormals, DimensionMismatch, EmptySet, ZeroNormal
-from .linalg import DEPENDENCE_TOL, PairTag, _norm, _scan_rows, classify_pair, row_dots
-from .oracle import KKT_TOL, KktCertificate, kkt_check
+from .linalg import _dependent, _norm, _scan_rows, row_dots
+from .oracle import KKT_TOL, KktCertificate, _split, kkt_check
 from .sets import (
     _TINY,
     Halfspace,
@@ -97,12 +98,11 @@ class ProjectionBreakdown:
         return tuple(s.u for s in self.sets)
 
 
-def _pair_terms(s1_set, s2_set, xv):
-    u1, u2 = s1_set.u, s2_set.u
-    a1 = float(np.dot(xv, u1)) - s1_set.eta
-    a2 = float(np.dot(xv, u2)) - s2_set.eta
-    q = float(np.dot(u1, u2))
-    return a1, a2, q, s1_set.norm_sq, s2_set.norm_sq
+def _pair_terms(first: LinearSet, second: Halfspace, xv):
+    u1, u2 = first.u, second.u
+    a1 = float(np.dot(xv, u1)) - first.eta
+    a2 = float(np.dot(xv, u2)) - second.eta
+    return a1, a2, float(np.dot(u1, u2))
 
 
 def _region_of(a1, a2, q, n1sq, n2sq) -> Region:
@@ -120,150 +120,110 @@ def _region_of(a1, a2, q, n1sq, n2sq) -> Region:
 def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
     """Locate a point relative to a halfspace pair with independent normals.
 
-    Raises DependentNormals when the pair is (numerically) dependent;
-    the dependent dispatch inside :func:`project_halfspace_pair` covers
-    that geometry instead.
+    Returns the region :func:`project_halfspace_pair` takes.  A pair that
+    ``linalg._dependent`` calls dependent raises DependentNormals.
     """
     xv = checked_point((w1, w2), x)
-    pc = classify_pair(w1.u, w2.u)
-    if pc.linearly_dependent:
+    a1, a2, q = _pair_terms(w1, w2, xv)
+    if _dependent(_norm(w1.u), _norm(w2.u), q):
         raise DependentNormals("region labels require independent normals")
-    return _region_of(*_pair_terms(w1, w2, xv))
+    return _region_of(a1, a2, q, w1.norm_sq, w2.norm_sq)
 
 
-def _determinant(n1sq, n2sq, q) -> float:
-    det = n1sq * n2sq - q * q  # positive for an independent pair unless it underflows
-    if det < _TINY:
-        raise ZeroNormal("determinant of the normals underflows")
-    return det
+def _contradicts(q, eta1, eta2, n1, n2):
+    """sign(q) eta1 |u2| > eta2 |u1|: a dependent plane-first or opposed pair is empty.
+
+    Floats or arrays that broadcast.  On opposed halfspaces it decides as
+    eta1 |u2| + eta2 |u1| < 0 does, since a rounded sum has the exact sum's sign.
+    """
+    sign = (q > 0.0) * 2.0 - 1.0  # 1.0 where q > 0, else -1.0
+    return sign * eta1 * n2 > eta2 * n1
 
 
-def _dependent_pair(w1: Halfspace, w2: Halfspace, xv, pc) -> ProjectionBreakdown:
-    if is_empty(w1) or is_empty(w2):
+def _dependent_pair(first: LinearSet, second: Halfspace, xv, a1, q) -> ProjectionBreakdown:
+    if is_empty(first) or is_empty(second):
         raise EmptySet("empty intersection")
-    u1 = w1.u
-    n1, n2 = w1.norm, w2.norm
+    plane = isinstance(first, Hyperplane)
+    sets = (first, second)
+    n1, n2 = first.norm, second.norm
 
-    if n1 == 0.0 and n2 == 0.0:
-        return ProjectionBreakdown(
-            xv.copy(), np.zeros(2), (w1, w2), case="whole_space"
-        )
-    if n2 == 0.0:
-        point, t = step(w1, xv)
-        return ProjectionBreakdown(
-            point, np.array([t, 0.0]), (w1, w2), case="first_set_only"
-        )
-    if n1 == 0.0:
-        point, t = step(w2, xv)
-        return ProjectionBreakdown(
-            point, np.array([0.0, t]), (w1, w2), case="second_set_only"
-        )
-
-    if pc.tag is PairTag.DEPENDENT_POSITIVE:
+    if n1 == 0.0:  # the first set is the whole space; if n2 is 0 too, the step keeps x
+        point, t = step(second, xv)
+        case = "plane_is_whole_space" if plane else "second_set_only" if n2 else "whole_space"
+        return ProjectionBreakdown(point, np.array([0.0, t]), sets, case=case)
+    if not plane and n2 == 0.0:
+        point, t = step(first, xv)
+        return ProjectionBreakdown(point, np.array([t, 0.0]), sets, case="first_set_only")
+    if not plane and q > 0.0:
         # The intersection is a single halfspace whose normal merges the
         # pair; the lone multiplier refers to that merged halfspace.
-        merged = Halfspace(n2 * u1, min(w1.eta * n2, w2.eta * n1))
+        merged = Halfspace(n2 * first.u, min(first.eta * n2, second.eta * n1))
         point, t = step(merged, xv)
         return ProjectionBreakdown(
-            point, np.array([t]), (merged,), case="merged_halfspace", inputs=(w1, w2)
+            point, np.array([t]), (merged,), case="merged_halfspace", inputs=sets
         )
 
-    # Opposite normals: a slab, or nothing when the offsets contradict.
-    if w1.eta * n2 + w2.eta * n1 < 0.0:
+    # a plane with a zero second normal reads 0 > eta2 * n1, false as the halfspace is nonempty
+    if _contradicts(q, first.eta, second.eta, n1, n2):
         raise EmptySet("empty intersection")
-    point, t = step(w1, xv)
-    if t > 0.0:
-        return ProjectionBreakdown(point, np.array([t, 0.0]), (w1, w2), case="slab")
-    point, t = step(w2, xv)
-    return ProjectionBreakdown(point, np.array([0.0, t]), (w1, w2), case="slab")
-
-
-def project_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> ProjectionBreakdown:
-    """Project onto the intersection of two halfspaces.
-
-    Dependent normals dispatch over the collapsed geometries; for
-    independent normals the point region picks the multipliers, which
-    solve the 2x2 normal system in closed form on C3.  Raises EmptySet
-    when the intersection is empty.
-    """
-    xv = checked_point((w1, w2), x)
-    pc = classify_pair(w1.u, w2.u)
-    if pc.linearly_dependent:
-        return _dependent_pair(w1, w2, xv, pc)
-
-    a1, a2, q, n1sq, n2sq = _pair_terms(w1, w2, xv)
-    region = _region_of(a1, a2, q, n1sq, n2sq)
-    flag = pc.gamma > ILL_CONDITIONED_GAMMA
-    u1, u2 = w1.u, w2.u
-    if region is Region.INSIDE_BOTH:
-        g1, g2 = 0.0, 0.0
-    elif region is Region.C1:
-        g1, g2 = a1 / n1sq, 0.0
-    elif region is Region.C2:
-        g1, g2 = 0.0, a2 / n2sq
-    else:
-        det = _determinant(n1sq, n2sq, q)
-        g1 = max((n2sq * a1 - q * a2) / det, 0.0)
-        g2 = max((n1sq * a2 - q * a1) / det, 0.0)
-    point = xv - g1 * u1 - g2 * u2
-    return ProjectionBreakdown(
-        point, np.array([g1, g2]), (w1, w2), region=region, ill_conditioned=flag
-    )
-
-
-def project_hyperplane_halfspace(h1: Hyperplane, w2: Halfspace, x) -> ProjectionBreakdown:
-    """Project onto the intersection of a hyperplane and a halfspace.
-
-    With independent normals the intersection is never empty: the
-    halfspace multiplier is strictly positive exactly when the plain
-    plane projection violates the halfspace (region IN_C), and zero
-    otherwise.  With dependent normals the intersection is the plane,
-    the halfspace, or empty.
-    """
-    xv = checked_point((h1, w2), x)
-    pc = classify_pair(h1.u, w2.u)
-    u1, u2 = h1.u, w2.u
-
-    if pc.linearly_dependent:
-        if is_empty(h1) or is_empty(w2):
-            raise EmptySet("empty intersection")
-        n1, n2 = h1.norm, w2.norm
-        if n1 == 0.0:
-            point, t = step(w2, xv)
-            return ProjectionBreakdown(
-                point, np.array([0.0, t]), (h1, w2), case="plane_is_whole_space"
-            )
-        # a zero second normal makes the test 0 > eta2 * n1, false once w2 is nonempty
-        sign = 1.0 if pc.tag is PairTag.DEPENDENT_POSITIVE else -1.0
-        if sign * h1.eta * n2 > w2.eta * n1:
-            raise EmptySet("empty intersection")
-        xi1 = (float(np.dot(xv, u1)) - h1.eta) / (n1 * n1)
+    if plane:
+        xi1 = a1 / (n1 * n1)
         case = "halfspace_is_whole_space" if n2 == 0.0 else "plane_inside_halfspace"
-        return ProjectionBreakdown(xv - xi1 * u1, np.array([xi1, 0.0]), (h1, w2), case=case)
+        return ProjectionBreakdown(xv - xi1 * first.u, np.array([xi1, 0.0]), sets, case=case)
+    # opposed halfspaces: a slab
+    point, t = step(first, xv)
+    if t > 0.0:
+        return ProjectionBreakdown(point, np.array([t, 0.0]), sets, case="slab")
+    point, t = step(second, xv)
+    return ProjectionBreakdown(point, np.array([0.0, t]), sets, case="slab")
 
-    a1, a2, q, n1sq, n2sq = _pair_terms(h1, w2, xv)
-    flag = pc.gamma > ILL_CONDITIONED_GAMMA
-    active = a2 * n1sq - a1 * q
-    if active > 0.0:
-        det = _determinant(n1sq, n2sq, q)
-        xi1 = (a1 * n2sq - a2 * q) / det
-        xi2 = active / det
-        point = xv - xi1 * u1 - xi2 * u2
-        return ProjectionBreakdown(
-            point,
-            np.array([xi1, xi2]),
-            (h1, w2),
-            region=Region.IN_C,
-            ill_conditioned=flag,
-        )
-    xi1 = a1 / n1sq
+
+def project_halfspace_pair(first: LinearSet, second: Halfspace, x) -> ProjectionBreakdown:
+    """Project onto a halfspace or a hyperplane intersected with a halfspace.
+
+    ``project_hyperplane_halfspace`` is the same function; any pairing
+    other than (halfspace or hyperplane, halfspace) raises ValueError.
+    Independent normals take the point's region (module docstring): two
+    halfspaces get nonnegative multipliers, a hyperplane a free one.
+    Dependent normals take the collapsed geometry, or raise EmptySet.
+    """
+    plane = isinstance(first, Hyperplane)
+    if not (plane or isinstance(first, Halfspace)) or not isinstance(second, Halfspace):
+        raise ValueError("each pair must be two halfspaces or a hyperplane and a halfspace")
+    xv = checked_point((first, second), x)
+    a1, a2, q = _pair_terms(first, second, xv)
+    # _norm rather than the cached norm, which is inf when |u|^2 overflows
+    n1, n2 = _norm(first.u), _norm(second.u)
+    if _dependent(n1, n2, q):
+        return _dependent_pair(first, second, xv, a1, q)
+
+    n1sq, n2sq = first.norm_sq, second.norm_sq
+    if plane:
+        region = Region.IN_C if a2 * n1sq - a1 * q > 0.0 else Region.NOT_IN_C
+    else:
+        region = _region_of(a1, a2, q, n1sq, n2sq)
+    g1 = g2 = 0.0
+    if region is Region.C3 or region is Region.IN_C:
+        det = n1sq * n2sq - q * q  # positive for an independent pair unless it underflows
+        if det < _TINY:
+            raise ZeroNormal("determinant of the normals underflows")
+        g1 = (n2sq * a1 - q * a2) / det
+        g2 = (n1sq * a2 - q * a1) / det
+        if not plane:
+            g1, g2 = max(g1, 0.0), max(g2, 0.0)
+    elif region is Region.C1 or region is Region.NOT_IN_C:
+        g1 = a1 / n1sq
+    elif region is Region.C2:
+        g2 = a2 / n2sq
+    # x - g1 u1 keeps a -0.0 coordinate that "- 0.0 * u2" would turn into +0.0
+    point = xv - g1 * first.u if region is Region.NOT_IN_C else xv - g1 * first.u - g2 * second.u
+    flag = abs(q) / (n1 * n2) > ILL_CONDITIONED_GAMMA
     return ProjectionBreakdown(
-        xv - xi1 * u1,
-        np.array([xi1, 0.0]),
-        (h1, w2),
-        region=Region.NOT_IN_C,
-        ill_conditioned=flag,
+        point, np.array([g1, g2]), (first, second), region=region, ill_conditioned=flag
     )
+
+
+project_hyperplane_halfspace = project_halfspace_pair
 
 
 def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
@@ -271,11 +231,11 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
 
     Each pair is two halfspaces or a hyperplane and a halfspace, in that
     order; both kinds may share a block.  Row i gets the point
-    :func:`project_halfspace_pair` or :func:`project_hyperplane_halfspace`
-    gives it alone, bit for bit (see :mod:`polyproj.atomic`); the
-    multipliers are not returned.  Like those projectors it raises
-    EmptySet for a contradictory dependent pair and ZeroNormal when a
-    merged normal or the determinant of an independent pair underflows.
+    :func:`project_halfspace_pair` gives it alone, bit for bit (see
+    :mod:`polyproj.atomic`); the multipliers are not returned.  Like that
+    projector it raises EmptySet for a contradictory dependent pair and
+    ZeroNormal when a merged normal or the determinant of an independent
+    pair underflows.
     """
     if second.is_hyperplane.any():
         raise ValueError("each pair must be two halfspaces or a hyperplane and a halfspace")
@@ -289,18 +249,13 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
     a2 = row_dots(xb, u2) - second.eta
     q = row_dots(u1, u2)
 
-    # classify_pair: a zero member makes the pair dependent
     zero1, zero2 = n1 == 0.0, n2 == 0.0
-    scale = n1 * n2
-    dependent = zero1 | zero2 | (scale - np.abs(q) <= DEPENDENCE_TOL * scale)
+    dependent = _dependent(n1, n2, q)
     both_nonzero = dependent & ~zero1 & ~zero2
     aligned = q > 0
     merged = both_nonzero & ~plane & aligned
     slab = both_nonzero & ~plane & ~aligned
-    plane_sign_eta = np.where(aligned, first.eta, -first.eta)
-    if (slab & (first.eta * n2 + second.eta * n1 < 0.0)).any() or (
-        both_nonzero & plane & (plane_sign_eta * n2 > second.eta * n1)
-    ).any():
+    if (both_nonzero & ~merged & _contradicts(q, first.eta, second.eta, n1, n2)).any():
         raise EmptySet("empty intersection")
 
     # multipliers: (g1, g2) of an independent pair's region, and g1 of a
@@ -373,24 +328,22 @@ def project_hyperplanes(planes: Sequence[Hyperplane], x) -> ProjectionBreakdown:
 def project(sets: Sequence[LinearSet], x) -> ProjectionBreakdown:
     """Project onto a family of sets that has a closed form.
 
-    The families are hyperplane systems, one halfspace (one
-    ``atomic.step``), halfspace pairs, and one hyperplane plus one
-    halfspace (in either order); any other family raises ValueError.
+    The families are hyperplane systems, one halfspace (one ``atomic.step``)
+    and two sets with a halfspace among them (:func:`project_halfspace_pair`,
+    a hyperplane first).  A member that is not a set raises TypeError before
+    dispatch; any other family raises ValueError.
     """
-    halfspaces = [s for s in sets if isinstance(s, Halfspace)]
-    hyperplanes = [s for s in sets if isinstance(s, Hyperplane)]
+    xv = checked_point(sets, x)
+    hyperplanes, halfspaces = _split(sets)
     if not halfspaces:
-        return project_hyperplanes(hyperplanes, x)
+        return project_hyperplanes(hyperplanes, xv)
     if len(sets) == 1:
-        xv = checked_point(halfspaces, x)
         if is_empty(halfspaces[0]):
             raise EmptySet("empty intersection")
         point, t = step(halfspaces[0], xv)
         return ProjectionBreakdown(point, np.array([t]), tuple(halfspaces))
-    if len(sets) == 2 and len(halfspaces) == 2:
-        return project_halfspace_pair(*halfspaces, x)
-    if len(sets) == 2 and len(hyperplanes) == 1:
-        return project_hyperplane_halfspace(hyperplanes[0], halfspaces[0], x)
+    if len(sets) == 2:
+        return project_halfspace_pair(*hyperplanes, *halfspaces, xv)
     raise ValueError(
         "closed_form supports hyperplane systems, one halfspace, halfspace pairs, "
         "and hyperplane+halfspace pairs"

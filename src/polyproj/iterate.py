@@ -101,10 +101,10 @@ def dykstra(
         raise ValueError("need at least one set")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
+    x0 = checked_point(sets, x)
     for s in sets:
         if is_empty(s):
             raise EmptySet("a constraint set is empty")
-    x0 = checked_point(sets, x)
     current = x0.copy()
     corrections = [np.zeros_like(x0) for _ in sets]
     iterates = [x0.copy()]

@@ -139,6 +139,15 @@ class PairClass:
         )
 
 
+def _dependent(n1, n2, q):
+    """The module's dependence rule for norms ``n1``, ``n2`` and inner product ``q``.
+
+    True for a zero member too; floats or arrays that broadcast.
+    """
+    scale = n1 * n2
+    return (n1 == 0.0) | (n2 == 0.0) | (scale - abs(q) <= DEPENDENCE_TOL * scale)
+
+
 def classify_pair(u1, u2) -> PairClass:
     """Classify a pair of vectors by dependence and inner-product sign.
 
@@ -160,7 +169,7 @@ def classify_pair(u1, u2) -> PairClass:
     ip = float(np.dot(v1, v2))
     scale = n1 * n2
     gamma = min(abs(ip) / scale, 1.0)
-    if scale - abs(ip) <= DEPENDENCE_TOL * scale:
+    if _dependent(n1, n2, ip):
         # dependent within tolerance: report the exact-arithmetic cosine
         tag = PairTag.DEPENDENT_POSITIVE if ip > 0 else PairTag.DEPENDENT_NEGATIVE
         return PairClass(tag, 1.0)

@@ -74,10 +74,8 @@ class KktCertificate:
 
 
 def _split(sets: Sequence[LinearSet]):
-    eq = [(i, s) for i, s in enumerate(sets) if isinstance(s, Hyperplane)]
-    ineq = [(i, s) for i, s in enumerate(sets) if isinstance(s, Halfspace)]
-    if len(eq) + len(ineq) != len(sets):
-        raise TypeError("sets must be Hyperplane or Halfspace instances")
+    eq = [s for s in sets if isinstance(s, Hyperplane)]
+    ineq = [s for s in sets if isinstance(s, Halfspace)]
     return eq, ineq
 
 
@@ -95,8 +93,8 @@ def kkt_check(
     Feasibility: worst constraint violation at p.
     Complementarity: max_i |lam_i * (<p,u_i> - eta_i)| over halfspaces.
     """
-    eq, ineq = _split(sets)
     xv = checked_point(sets, x)
+    eq, ineq = _split(sets)
     pv = as_vector(p)
     if xv.shape != pv.shape:
         raise DimensionMismatch("x and p must share one dimension")
@@ -114,12 +112,12 @@ def kkt_check(
     grad = pv - xv
     feasibility = 0.0
     complementarity = 0.0
-    for mult, (_, s) in zip(lam_arr, ineq):
+    for mult, s in zip(lam_arr, ineq):
         grad = grad + mult * s.u
         gap = float(np.dot(pv, s.u)) - s.eta
         feasibility = max(feasibility, gap)
         complementarity = max(complementarity, abs(mult * gap))
-    for mult, (_, s) in zip(beta_arr, eq):
+    for mult, s in zip(beta_arr, eq):
         grad = grad + mult * s.u
         feasibility = max(feasibility, abs(float(np.dot(pv, s.u)) - s.eta))
     stationarity = _norm(grad)
@@ -169,7 +167,7 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
         )
 
     ne = len(eq)
-    rows = [s for _, s in eq + ineq]  # a halfspace row stands for its boundary
+    rows = eq + ineq  # a halfspace row stands for its boundary
     normals = np.array([s.u for s in rows]).reshape(len(rows), xv.shape[0])
     offsets = np.array([s.eta for s in rows])
     rhs = np.array([float(np.dot(xv, s.u)) for s in rows]) - offsets

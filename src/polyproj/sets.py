@@ -113,7 +113,16 @@ def membership_bound(eta, norm, xnorm, tol):
 
 
 def checked_point(sets: Sequence[LinearSet], x) -> np.ndarray:
-    """``x`` as a coordinate array; DimensionMismatch unless every set has its dimension."""
+    """``x`` as a coordinate array, checked against every member of ``sets``.
+
+    TypeError for a member that is neither a Hyperplane nor a Halfspace,
+    before ``x`` is read, so a caller with no point may pass
+    ``getattr(sets[0], "u", None)``; then DimensionMismatch unless every
+    set has the dimension of ``x``.
+    """
+    for s in sets:
+        if not isinstance(s, (Hyperplane, Halfspace)):
+            raise TypeError(f"cannot project onto {type(s).__name__}")
     xv = as_vector(x)
     for s in sets:
         if s.dim != xv.shape[0]:
@@ -165,7 +174,7 @@ def reduce_hyperplane_system(planes: Sequence[Hyperplane]) -> ReducedHyperplaneS
     """
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
-    checked_point(planes, planes[0].u)  # DimensionMismatch unless all share one dimension
+    checked_point(planes, getattr(planes[0], "u", None))  # all sets, of one dimension
     normals = np.array([p.u for p in planes])
     offsets = np.array([p.eta for p in planes])
     kept, _, consistent = _scan_rows(normals, offsets)

@@ -362,6 +362,18 @@ class TestProjectHyperplaneHalfspace:
         np.testing.assert_allclose(out.coefficients, [2, 0])
         assert out.region is Region.NOT_IN_C
 
+    def test_two_halfspaces_project_as_a_halfspace_pair(self):
+        # one body for both names: two halfspaces get the halfspace pair's
+        # projection, (0, -5), and not a plane projection onto x2 = 0
+        w1, w2, x = Halfspace([0, 1], 0.0), Halfspace([1, 0], 0.0), [1.0, -5.0]
+        out = project_hyperplane_halfspace(w1, w2, x)
+        ref = project_halfspace_pair(w1, w2, x)
+        assert out.point.tobytes() == ref.point.tobytes()
+        assert out.coefficients.tobytes() == ref.coefficients.tobytes()
+        assert out.region is Region.C2
+        np.testing.assert_allclose(out.point, oracle_project([w1, w2], x).point, atol=1e-12)
+        np.testing.assert_allclose(out.point, [0.0, -5.0])
+
     def test_dependent_plane_inside_halfspace(self):
         h1, w2 = Hyperplane([1, 0], 1.0), Halfspace([2, 0], 4.0)
         out = project_hyperplane_halfspace(h1, w2, [9, 9])
@@ -645,12 +657,6 @@ _ALL_PAIR_TAGS = {
 }
 
 
-def _scalar_pair(first, second, x):
-    if isinstance(first, Hyperplane):
-        return project_hyperplane_halfspace(first, second, x)
-    return project_halfspace_pair(first, second, x)
-
-
 def _random_pair_row(rng, dim):
     """(first, second, x) for a nonempty pair: every family, zero normals, scaled normals."""
     while True:
@@ -674,7 +680,7 @@ def _random_pair_row(rng, dim):
         if rng.uniform() < 0.2:
             x[rng.integers(dim)] = -0.0
         try:
-            _scalar_pair(first, second, x)
+            project_halfspace_pair(first, second, x)
         except EmptySet:
             continue
         return first, second, x
@@ -692,7 +698,7 @@ class TestProjectPairRows:
         assert x.tobytes() == before.tobytes()
         tags = []
         for row, (first, second, point) in zip(out, rows):
-            bd = _scalar_pair(first, second, point)
+            bd = project_halfspace_pair(first, second, point)
             assert row.tobytes() == bd.point.tobytes()
             tags.append(bd.case if bd.region is None else bd.region.value)
         return tags
@@ -753,13 +759,18 @@ class TestProjectPairRows:
     def test_contradictory_dependent_pairs_are_empty(self):
         u = np.array([0.6, 0.8])
         good = (Halfspace(u, 1.0), Halfspace([0.0, 1.0], 0.0), np.array([2.0, 2.0]))
+        # the touching slab: eta1 n2 + eta2 n1 is 0 exactly, so it is the line <x, u> = -1
+        touching = (Halfspace(u, -1.0), Halfspace(-2.0 * u, 2.0))
+        assert self._check([(*touching, good[2]), (*touching, -good[2])]) == ["slab", "slab"]
         for first, second in [
             (Halfspace(u, -1.0), Halfspace(-2.0 * u, -1.0)),  # slab: eta1 n2 + eta2 n1 < 0
             (Hyperplane(u, 2.0), Halfspace(0.5 * u, 0.25)),  # aligned plane beyond the halfspace
             (Hyperplane(u, -2.0), Halfspace(-u, 1.0)),  # opposed: -eta1 n2 > eta2 n1
+            # the touching slab with eta1 one ulp lower
+            (Halfspace(u, np.nextafter(-1.0, -np.inf)), Halfspace(-2.0 * u, 2.0)),
         ]:
             with pytest.raises(EmptySet):
-                _scalar_pair(first, second, good[2])
+                project_halfspace_pair(first, second, good[2])
             with pytest.raises(EmptySet):
                 project_pair_rows(
                     SetBlock([good[0], first]), SetBlock([good[1], second]), np.ones((2, 2))
@@ -800,6 +811,8 @@ class TestProjectPairRows:
         ok = Halfspace([1.0, 1.0], 0.0)
         with pytest.raises(ValueError, match="pair"):
             project_pair_rows(SetBlock([ok, first]), SetBlock([ok, second]), None)
+        with pytest.raises(ValueError, match="pair"):
+            project_halfspace_pair(first, second, None)
 
     def test_shapes_checked(self):
         w2, w3 = Halfspace([1.0, 0.0], 0.0), Halfspace([1.0, 0.0, 0.0], 0.0)

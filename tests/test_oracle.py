@@ -143,7 +143,7 @@ class TestOracleProject:
             x = random_point(rng, dim)
             point, cert = oracle_project(planes, x)
             bd = project_hyperplanes(planes, x)
-            # both paths take the one row scan and the one stacked Gram solve
+            # both paths take their multipliers from the one row scan's bordered steps
             assert point.tobytes() == bd.point.tobytes()
             assert cert.beta.tobytes() == bd.coefficients.tobytes()
             assert cert.valid

@@ -26,6 +26,7 @@ from polyproj import (
     project_hyperplanes,
     reduce_hyperplane_system,
 )
+from polyproj.atomic import SetBlock, project_onto
 from polyproj.errors import ZeroNormal
 from polyproj.instances import random_hyperplane_system
 from polyproj.sets import checked_point
@@ -82,6 +83,21 @@ _WRONG_DIMENSION_CALLS = {
     "project-one-set": lambda: project([_W], _X3),
 }
 
+# every public entry that takes a family of sets, fed a member that is not a set
+_NON_SET_CALLS = {
+    "oracle_project": lambda: oracle_project(["plane", _W], _X2),
+    "project_hyperplanes": lambda: project_hyperplanes(["plane", _H], _X2),
+    "reduce_hyperplane_system": lambda: reduce_hyperplane_system(["plane", _H]),
+    "reduce_hyperplane_system-second": lambda: reduce_hyperplane_system([_H, "plane"]),
+    "dykstra": lambda: dykstra(["plane", _W], _X2),
+    "project": lambda: project([_H, "plane"], _X2),
+    "project-pair": lambda: project(["plane", _W], _X2),
+    "kkt_check": lambda: kkt_check([_H, "plane"], _X2, _X2, [], [0.0]),
+    "project_onto": lambda: project_onto("plane", _X2),
+    "SetBlock": lambda: SetBlock(["plane", _W]),
+    "SetBlock-second": lambda: SetBlock([_W, "plane"]),
+}
+
 
 class TestPointDimension:
     def test_checked_point_returns_coordinates(self):
@@ -97,9 +113,10 @@ class TestPointDimension:
         with pytest.raises(DimensionMismatch):
             _WRONG_DIMENSION_CALLS[name]()
 
-    def test_kkt_check_rejects_non_sets_first(self):
-        with pytest.raises(TypeError):
-            kkt_check([Hyperplane([1, 0], 1.0), "plane"], [1.0, 2.0], [1.0, 2.0], [], [0.0])
+    @pytest.mark.parametrize("name", sorted(_NON_SET_CALLS))
+    def test_every_family_entry_rejects_non_sets_first(self, name):
+        with pytest.raises(TypeError, match="cannot project onto str"):
+            _NON_SET_CALLS[name]()
 
 
 class TestDegenerateClassification:
