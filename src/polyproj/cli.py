@@ -1,7 +1,8 @@
 """Command-line front end: single projections, experiments, generation.
 
-Exit codes: 0 on success, 1 on malformed input or configuration, 2 when
-the requested intersection is empty, 3 when the oracle has more
+Exit codes: 0 on success (a ``project`` certificate that fails is still
+printed, as ``"valid":false``), 1 on malformed input or configuration, 2
+when the requested intersection is empty, 3 when the oracle has more
 inequality constraints than it enumerates.  Diagnostics go to stderr,
 data to stdout or the requested output files.  The environment variable
 ``POLYPROJ_TOL`` overrides the KKT tolerance that ``project`` certifies
@@ -17,6 +18,7 @@ the five of :class:`ExperimentConfig` is rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,7 +61,7 @@ def canonical_json(obj) -> str:
     """Serialize with floats at 17 significant digits, byte-deterministic."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -430,12 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed_form",
         choices=["closed_form", "oracle", "dykstra"],
     )
-    p_project.set_defaults(func=cmd_project)
 
     p_exp = sub.add_parser("experiment", help="run verification sweeps")
     p_exp.add_argument("--config", required=True, help="experiment config JSON")
     p_exp.add_argument("--out", default=None, help="output directory")
-    p_exp.set_defaults(func=cmd_experiment)
 
     p_gen = sub.add_parser("generate", help="generate a deterministic instance")
     p_gen.add_argument("--seed", type=int, required=True)
@@ -446,15 +446,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["pair_halfspace", "hyperplane_halfspace", "hyperplane_system"],
     )
     p_gen.add_argument("--out", default=None, help="output file (stdout if omitted)")
-    p_gen.set_defaults(func=cmd_generate)
     return parser
 
 
+# built on the first main call of a process; parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a wrapper or patch of cmd_* made after the
+    # parser was built still runs
+    command = {"project": cmd_project, "experiment": cmd_experiment, "generate": cmd_generate}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except EmptySet as exc:
         print(str(exc) or "empty intersection", file=sys.stderr)
         return 2

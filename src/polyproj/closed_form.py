@@ -121,9 +121,12 @@ def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
     """Locate a point relative to a halfspace pair with independent normals.
 
     Returns the region :func:`project_halfspace_pair` takes.  A pair that
+    is not two halfspaces raises ValueError, and one that
     ``linalg._dependent`` calls dependent raises DependentNormals.
     """
     xv = checked_point((w1, w2), x)
+    if not (isinstance(w1, Halfspace) and isinstance(w2, Halfspace)):
+        raise ValueError("region labels C1, C2 and C3 need two halfspaces")
     a1, a2, q = _pair_terms(w1, w2, xv)
     if _dependent(_norm(w1.u), _norm(w2.u), q):
         raise DependentNormals("region labels require independent normals")
@@ -312,9 +315,9 @@ def project_hyperplanes(planes: Sequence[Hyperplane], x) -> ProjectionBreakdown:
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
     xv = checked_point(planes, x)
+    normals = np.array([p.u for p in planes])
     offsets = np.array([p.eta for p in planes])
-    rhs = np.array([float(np.dot(xv, p.u)) for p in planes]) - offsets
-    kept, (_, _, _, beta), consistent = _scan_rows(np.array([p.u for p in planes]), offsets, rhs)
+    kept, (_, _, _, beta), consistent = _scan_rows(normals, offsets, row_dots(normals, xv) - offsets)
     if not consistent:
         raise EmptySet("empty intersection")
     point = xv.copy()

@@ -92,10 +92,14 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     add in other orders and differ in the last bits on many rows;
     ``np.vecdot`` matches too but needs numpy >= 2.0.  A one-element
     ``dot`` is a plain product, which keeps a -0.0 that matmul's sum from
-    +0.0 would lose, so a single column is multiplied instead.
+    +0.0 would lose, so a single column is multiplied instead.  Two 1-D
+    arguments of more than one element are one row: ``a.dot(b)`` itself,
+    without the stacked call's overhead.
     """
     if a.shape[-1] == 1:
         return a[..., 0] * b[..., 0]
+    if a.ndim == 1 and b.ndim == 1:
+        return a.dot(b)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

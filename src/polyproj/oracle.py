@@ -109,24 +109,27 @@ def kkt_check(
             f"expected {len(eq)} equality multipliers, got {beta_arr.shape}"
         )
 
+    # on Python floats; the order (halfspaces first) and max's rule (the
+    # first argument wins on a tie and on NaN) fix every residual's bits
     grad = pv - xv
     feasibility = 0.0
     complementarity = 0.0
-    for mult, s in zip(lam_arr, ineq):
+    lams = lam_arr.tolist()
+    for mult, s in zip(lams, ineq):
         grad = grad + mult * s.u
-        gap = float(np.dot(pv, s.u)) - s.eta
+        gap = float(pv.dot(s.u)) - s.eta
         feasibility = max(feasibility, gap)
         complementarity = max(complementarity, abs(mult * gap))
-    for mult, s in zip(beta_arr, eq):
+    for mult, s in zip(beta_arr.tolist(), eq):
         grad = grad + mult * s.u
-        feasibility = max(feasibility, abs(float(np.dot(pv, s.u)) - s.eta))
+        feasibility = max(feasibility, abs(float(pv.dot(s.u)) - s.eta))
     stationarity = _norm(grad)
 
     valid = (
         stationarity <= tol
         and feasibility <= tol
         and complementarity <= tol
-        and bool(np.all(lam_arr >= -tol))
+        and all(mult >= -tol for mult in lams)
     )
     return KktCertificate(
         lam=lam_arr,
@@ -170,7 +173,7 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
     rows = eq + ineq  # a halfspace row stands for its boundary
     normals = np.array([s.u for s in rows]).reshape(len(rows), xv.shape[0])
     offsets = np.array([s.eta for s in rows])
-    rhs = np.array([float(np.dot(xv, s.u)) for s in rows]) - offsets
+    rhs = row_dots(normals, xv) - offsets
     normal_norms = np.array([s.norm for s in rows])
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None

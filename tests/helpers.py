@@ -24,6 +24,29 @@ LD_PAIR_CASES = (
 
 EMPTY_LD_PAIR_CASES = {"empty_both_zero", "first_only_empty", "second_only_empty", "slab_empty"}
 
+# two halfspaces in d = 6 and a point with |x| ~ 5e3 whose closed-form and
+# oracle certificates fail on complementarity alone (1.78e-9 > 1e-9); the
+# other two residuals are below 1e-12
+COMPLEMENTARITY_INSTANCE = {
+    "dim": 6,
+    "sets": [
+        {
+            "kind": "halfspace",
+            "u": [-0.14592016961740930, 0.11105147750655045, -0.13032764256830331,
+                  0.11772276795500956, -0.11636941221714930, 0.96020262904778240],
+            "eta": 0.69267610329184,
+        },
+        {
+            "kind": "halfspace",
+            "u": [0.27505292120830010, 0.02704131153316326, 0.19204925258083128,
+                  0.06863714844098574, 0.85442599572093500, -0.38984215046435106],
+            "eta": 1.6958568241395255,
+        },
+    ],
+    "points": [[-172.23325799709954, 1124.915101414972, 1525.4217190232584,
+                -2782.0069155525507, 2526.1262422405002, -2988.266655093874]],
+}
+
 
 def ld_pair_case(rng, dim, case):
     """A halfspace pair realizing one dependent-normal geometry."""

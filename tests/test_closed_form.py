@@ -27,7 +27,7 @@ from polyproj.instances import (
     random_point,
     unit_vector,
 )
-from polyproj.linalg import _norm
+from polyproj.linalg import _norm, _scan_rows
 from polyproj.sets import membership_bound
 
 from helpers import (
@@ -87,6 +87,39 @@ class TestProjectHyperplanes:
                 reconstruction(out, x), out.point, atol=1e-12
             )
 
+    def test_bits_of_the_per_plane_right_hand_sides(self):
+        # the right-hand sides come from one row_dots on the stacked normals;
+        # the reference takes each plane's float(np.dot(x, u)) on its own
+        rng = np.random.default_rng(24)
+        checked = 0
+        for trial in range(600):
+            dim = int(rng.integers(1, 7))
+            if dim == 1:
+                planes = [Hyperplane(rng.normal(size=1), rng.normal()) for _ in range(2)]
+                planes.append(Hyperplane(2.0 * planes[0].u, 2.0 * planes[0].eta))
+            else:
+                planes = random_hyperplane_system(rng, dim, num_planes=int(rng.integers(2, 6)))
+            if trial % 2:
+                planes = [Hyperplane(c * p.u, c * p.eta) for p, c in
+                          zip(planes, 10.0 ** rng.uniform(-150, 150, size=len(planes)))]
+            x = random_point(rng, dim, 10.0 ** rng.uniform(-3, 3))
+            offsets = np.array([p.eta for p in planes])
+            rhs = np.array([float(np.dot(x, p.u)) for p in planes]) - offsets
+            kept, (_, _, _, beta), consistent = _scan_rows(np.array([p.u for p in planes]), offsets, rhs)
+            if not consistent:
+                with pytest.raises(EmptySet):
+                    project_hyperplanes(planes, x)
+                continue
+            point, coefficients = x.copy(), np.zeros(len(planes))
+            for b, idx in zip(beta, kept):
+                point -= b * planes[idx].u
+                coefficients[idx] = b
+            out = project_hyperplanes(planes, x)
+            assert out.point.tobytes() == point.tobytes()
+            assert out.coefficients.tobytes() == coefficients.tobytes()
+            checked += 1
+        assert checked > 500
+
 
 class TestClassifyRegion:
     def test_inside_both(self):
@@ -110,6 +143,20 @@ class TestClassifyRegion:
             classify_region_halfspace_pair(
                 Halfspace([1, 0], 0.0), Halfspace([2, 0], 1.0), [1, 1]
             )
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (Hyperplane([1, 0], 0.0), Halfspace([0, 1], 0.0)),
+            (Halfspace([0, 1], 0.0), Hyperplane([1, 0], 0.0)),
+            (Hyperplane([1, 0], 0.0), Hyperplane([0, 1], 0.0)),
+        ],
+    )
+    def test_a_hyperplane_is_rejected(self, pair):
+        # (-1, -5) is inside both halfspaces' sides but off the plane x1 = 0;
+        # the pair once read INSIDE_BOTH in either order
+        with pytest.raises(ValueError):
+            classify_region_halfspace_pair(*pair, [-1, -5])
 
     def test_partition_exactly_one_raw_predicate(self):
         rng = np.random.default_rng(32)

@@ -159,6 +159,29 @@ class TestRowDots:
         expected = np.array([a[i].dot(b[i]) for i in range(len(a))])
         assert row_dots(a, b).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("case", ["signed_zeros", "length_one", "subnormal", "overflow"])
+    def test_one_dimensional_pair_has_the_stacked_bits(self, case):
+        # two 1-D arguments take a.dot(b); a one-row block takes the stacked
+        # matmul, or the product for a single column
+        rng = np.random.default_rng(len(case))
+        for _ in range(300):
+            dim = 1 if case == "length_one" else int(rng.integers(2, 10))
+            a, b = rng.normal(size=(2, dim))
+            if case in ("signed_zeros", "length_one"):
+                a = rng.choice([0.0, -0.0, 1.0, -2.5], size=dim)
+                b = rng.choice([0.0, -0.0, 1.0, -2.5, rng.normal()], size=dim)
+            elif case == "subnormal":
+                a = a * 1e-310
+            else:
+                a, b = a * 1e200, b * 1e200
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = row_dots(a, b)
+                stacked = row_dots(a[None], b[None])[0]
+                if dim > 1:
+                    assert stacked.tobytes() == np.matmul(a[None, :], b[:, None])[0, 0].tobytes()
+            assert type(got) is type(stacked) is np.float64
+            assert got.tobytes() == stacked.tobytes()
+
 
 class TestRowNorms:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])

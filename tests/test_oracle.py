@@ -15,17 +15,20 @@ from polyproj import (
     kkt_check,
     oracle_project,
     project_halfspace_pair,
+    project,
     project_hyperplane_halfspace,
     project_hyperplanes,
     reduce_hyperplane_system,
     solve_gram,
 )
+from polyproj.linalg import _norm
 from polyproj.oracle import KKT_TOL
-from polyproj.sets import Feasibility, Membership, contains, membership_bound
-from polyproj.instances import random_point, unit_vector
+from polyproj.sets import Feasibility, Membership, contains, instance_from_dict, membership_bound
+from polyproj.instances import random_hyperplane_system, random_point, unit_vector
 
 from exact import exact_project
 from helpers import (
+    COMPLEMENTARITY_INSTANCE,
     EMPTY_LD_PAIR_CASES,
     LD_PAIR_CASES,
     ld_pair_case,
@@ -550,53 +553,74 @@ class TestKktCheck:
         assert cert.feasibility_residual == pytest.approx(2.0)
         assert not cert.valid
 
+    @staticmethod
+    def _reference_residuals(sets, x, p, lam, beta, tol=KKT_TOL):
+        # the loop over numpy scalars that kkt_check replaced, kept as its reference
+        x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+        lam_arr, beta_arr = np.asarray(lam, dtype=float), np.asarray(beta, dtype=float)
+        eq = [s for s in sets if isinstance(s, Hyperplane)]
+        ineq = [s for s in sets if isinstance(s, Halfspace)]
+        grad = p - x
+        feasibility = 0.0
+        complementarity = 0.0
+        for mult, s in zip(lam_arr, ineq):
+            grad = grad + mult * s.u
+            gap = float(np.dot(p, s.u)) - s.eta
+            feasibility = max(feasibility, gap)
+            complementarity = max(complementarity, abs(mult * gap))
+        for mult, s in zip(beta_arr, eq):
+            grad = grad + mult * s.u
+            feasibility = max(feasibility, abs(float(np.dot(p, s.u)) - s.eta))
+        stationarity = _norm(grad)
+        valid = (
+            stationarity <= tol
+            and feasibility <= tol
+            and complementarity <= tol
+            and bool(np.all(lam_arr >= -tol))
+        )
+        return stationarity, feasibility, complementarity, bool(valid)
 
-class TestCertificateSoundness:
-    def test_halfspace_pair_multipliers(self):
-        rng = np.random.default_rng(43)
-        for _ in range(400):
+    @staticmethod
+    def _certificates(rng):
+        # closed-form certificates of both pair kinds and of hyperplane systems,
+        # then the same with bumped, negated and NaN multipliers and a moved point
+        for trial in range(600):
             dim = int(rng.integers(2, 6))
-            if rng.uniform() < 0.3:
-                case = LD_PAIR_CASES[int(rng.integers(len(LD_PAIR_CASES)))]
-                if case in EMPTY_LD_PAIR_CASES:
-                    continue
-                w1, w2 = ld_pair_case(rng, dim, case)
+            x = random_point(rng, dim, 10.0 ** rng.uniform(-3, 3))
+            family = trial % 3
+            if family == 0:
+                sets = list(li_halfspace_pair(rng, dim, ["orthogonal", "negative", "positive"][trial % 9 // 3]))
+            elif family == 1:
+                sets = list(plane_halfspace_li(rng, dim, ["orthogonal", "negative", "positive"][trial % 9 // 3]))
             else:
-                flavor = ["orthogonal", "negative", "positive"][int(rng.integers(3))]
-                w1, w2 = li_halfspace_pair(rng, dim, flavor)
-            x = random_point(rng, dim, 4.0)
-            out = project_halfspace_pair(w1, w2, x)
-            if out.case == "merged_halfspace":
-                merged_eta = min(
-                    w1.eta * np.linalg.norm(w2.u), w2.eta * np.linalg.norm(w1.u)
-                )
-                sets = [Halfspace(out.normals[0], merged_eta)]
-            else:
-                sets = [w1, w2]
-            cert = kkt_check(sets, x, out.point, out.coefficients, [])
-            assert cert.valid
+                sets = random_hyperplane_system(rng, dim, num_planes=int(rng.integers(2, 5)))
+            out = project(sets, x)
+            lam = [c for c, s in zip(out.coefficients, sets) if isinstance(s, Halfspace)]
+            beta = [c for c, s in zip(out.coefficients, sets) if isinstance(s, Hyperplane)]
+            yield sets, x, out.point, lam, beta
+            yield sets, x, out.point, [v + rng.normal() for v in lam], [v * (1 + 1e-6) for v in beta]
+            yield sets, x, out.point, [-abs(v) - 1e-12 for v in lam], beta
+            yield sets, x, out.point, [np.nan] * len(lam[:1]) + lam[1:], beta[:-1] + [np.nan] * len(beta[-1:])
+            yield sets, x, out.point + 1e-7 * rng.normal(size=dim), lam, beta
 
-    def test_plane_halfspace_multipliers(self):
-        rng = np.random.default_rng(44)
-        for _ in range(400):
-            dim = int(rng.integers(2, 6))
-            flavor = ["orthogonal", "negative", "positive"][int(rng.integers(3))]
-            h1, w2 = plane_halfspace_li(rng, dim, flavor)
-            x = random_point(rng, dim, 4.0)
-            out = project_hyperplane_halfspace(h1, w2, x)
-            cert = kkt_check(
-                [h1, w2], x, out.point, [out.coefficients[1]], [out.coefficients[0]]
-            )
-            assert cert.valid
+    def test_residuals_match_the_reference_loop(self):
+        counts = {True: 0, False: 0}
+        for sets, x, p, lam, beta in self._certificates(np.random.default_rng(24)):
+            cert = kkt_check(sets, x, p, lam, beta)
+            got = (cert.stationarity_residual, cert.feasibility_residual, cert.complementarity_residual)
+            *want, valid = self._reference_residuals(sets, x, p, lam, beta)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert type(cert.valid) is bool and cert.valid is valid
+            counts[valid] += 1
+        assert min(counts.values()) > 500
 
-    def test_plane_system_multipliers(self):
-        rng = np.random.default_rng(45)
-        from polyproj.instances import random_hyperplane_system
+    def test_complementarity_alone_gives_a_python_bool(self):
+        # complementarity (1.78e-9) alone decides; valid must still be a Python bool
+        inst = instance_from_dict(COMPLEMENTARITY_INSTANCE)
+        x = inst.points[0]
+        out = project_halfspace_pair(*inst.sets, x)
+        cert = kkt_check(inst.sets, x, out.point, out.coefficients, [])
+        assert cert.stationarity_residual <= KKT_TOL and cert.feasibility_residual <= KKT_TOL
+        assert cert.complementarity_residual > KKT_TOL
+        assert cert.valid is False
 
-        for _ in range(200):
-            dim = int(rng.integers(2, 6))
-            planes = random_hyperplane_system(rng, dim, num_planes=int(rng.integers(2, 5)))
-            x = random_point(rng, dim)
-            out = project_hyperplanes(planes, x)
-            cert = kkt_check(planes, x, out.point, [], out.coefficients)
-            assert cert.valid
