@@ -18,7 +18,6 @@ the five of :class:`ExperimentConfig` is rejected.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -432,10 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed_form",
         choices=["closed_form", "oracle", "dykstra"],
     )
+    p_project.set_defaults(func=cmd_project)
 
     p_exp = sub.add_parser("experiment", help="run verification sweeps")
     p_exp.add_argument("--config", required=True, help="experiment config JSON")
     p_exp.add_argument("--out", default=None, help="output directory")
+    p_exp.set_defaults(func=cmd_experiment)
 
     p_gen = sub.add_parser("generate", help="generate a deterministic instance")
     p_gen.add_argument("--seed", type=int, required=True)
@@ -446,20 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["pair_halfspace", "hyperplane_halfspace", "hyperplane_system"],
     )
     p_gen.add_argument("--out", default=None, help="output file (stdout if omitted)")
+    p_gen.set_defaults(func=cmd_generate)
     return parser
 
 
-# built on the first main call of a process; parse_args leaves it unchanged
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up at call time, so a wrapper or patch of cmd_* made after the
-    # parser was built still runs
-    command = {"project": cmd_project, "experiment": cmd_experiment, "generate": cmd_generate}
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return command[args.command](args)
+        return args.func(args)
     except EmptySet as exc:
         print(str(exc) or "empty intersection", file=sys.stderr)
         return 2

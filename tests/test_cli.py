@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import polyproj.cli
 from polyproj import classify_pair
 from polyproj.atomic import project_onto
 from polyproj.cli import (
@@ -351,8 +350,7 @@ class TestProject:
         np.testing.assert_allclose(oracle["point"], x - (x @ u2) * u2, rtol=0, atol=1e-12)
 
     def test_certificate_failing_on_complementarity_alone_is_printed(self, tmp_path, capsys):
-        # complementarity (1.78e-9 > tol) alone decides valid; the certificate
-        # once held an np.bool_, which canonical_json refused (exit 1)
+        # complementarity (1.78e-9 > tol) alone decides valid
         path = self._write_instance(tmp_path, COMPLEMENTARITY_INSTANCE)
         for method in ("closed_form", "oracle"):
             code, out, err = run(["project", "--instance", path, "--method", method], capsys)
@@ -422,60 +420,6 @@ class TestProject:
         code, _, err = run(["project", "--instance", path], capsys)
         assert code == 1
         assert "POLYPROJ_TOL" in err
-
-
-class TestParserBuiltOnce:
-    @staticmethod
-    def _calls(work):
-        inst, config = str(work / "inst.json"), str(work / "config.json")
-        with open(config, "w", encoding="utf-8") as fh:
-            json.dump({"seed": 3, "dim": 3, "trials": 3, "k_max": 5}, fh)
-        return [
-            ["generate", "--seed", "4", "--dim", "3", "--kind", "hyperplane_halfspace", "--out", inst],
-            ["project", "--instance", inst],
-            ["generate", "--seed", "5", "--dim", "2", "--kind", "pair_halfspace"],
-            ["project", "--instance", inst, "--point", "2", "--method", "oracle"],
-            ["experiment", "--config", config, "--out", str(work / "run")],
-            ["project"],  # argparse rejects it: SystemExit(2)
-            ["project", "--instance", inst, "--method", "dykstra"],
-            ["experiment", "--config", config],  # writes to the working directory
-            ["generate", "--seed", "6", "--dim", "4", "--kind", "hyperplane_system", "--out", inst],
-            ["project", "--instance", inst, "--point", "1"],
-            ["project", "--instance", inst, "--point", "9"],  # out of range: exit 1
-        ]
-
-    def _run_all(self, work, capsys, monkeypatch, before_each):
-        # every call of _calls, run in its own directory; each result is the exit
-        # code, stdout, stderr and the bytes of every file in the directory
-        work.mkdir()
-        monkeypatch.chdir(work)
-        results = []
-        for argv in self._calls(work):
-            before_each()
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("exit", exc.code)
-            captured = capsys.readouterr()
-            files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
-            results.append((code, captured.out, captured.err, files))
-        return results
-
-    def test_interleaved_calls_match_fresh_parsers(self, tmp_path, capsys, monkeypatch):
-        kept = self._run_all(tmp_path / "kept", capsys, monkeypatch, lambda: None)
-        fresh = self._run_all(tmp_path / "fresh", capsys, monkeypatch, polyproj.cli._parser.cache_clear)
-        assert kept == fresh
-        assert [r[0] for r in kept] == [0, 0, 0, 0, 0, ("exit", 2), 0, 0, 0, 0, 1]
-
-    def test_commands_are_looked_up_when_called(self, capsys, monkeypatch):
-        # a wrapper or patch of cmd_* made after the parser exists still runs
-        argv = ["generate", "--seed", "8", "--dim", "2", "--kind", "pair_halfspace"]
-        assert run(argv, capsys)[0] == 0
-        seen = []
-        monkeypatch.setattr(polyproj.cli, "cmd_generate", lambda args: seen.append(args.seed) or 0)
-        assert run(argv, capsys) == (0, "", "")
-        assert seen == [8]
-        assert polyproj.cli.build_parser() is not polyproj.cli.build_parser()
 
 
 class TestExperiment:

@@ -153,8 +153,7 @@ class TestClassifyRegion:
         ],
     )
     def test_a_hyperplane_is_rejected(self, pair):
-        # (-1, -5) is inside both halfspaces' sides but off the plane x1 = 0;
-        # the pair once read INSIDE_BOTH in either order
+        # (-1, -5) is inside both halfspaces' sides but off the plane x1 = 0
         with pytest.raises(ValueError):
             classify_region_halfspace_pair(*pair, [-1, -5])
 

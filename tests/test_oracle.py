@@ -582,21 +582,28 @@ class TestKktCheck:
 
     @staticmethod
     def _certificates(rng):
-        # closed-form certificates of both pair kinds and of hyperplane systems,
-        # then the same with bumped, negated and NaN multipliers and a moved point
+        # closed-form certificates of both pair kinds, dependent halfspace pairs
+        # and hyperplane systems, then the same with bumped, negated and NaN
+        # multipliers and a moved point
+        dependent = [case for case in LD_PAIR_CASES if case not in EMPTY_LD_PAIR_CASES]
         for trial in range(600):
             dim = int(rng.integers(2, 6))
             x = random_point(rng, dim, 10.0 ** rng.uniform(-3, 3))
-            family = trial % 3
+            family = trial % 4
+            flavor = ["orthogonal", "negative", "positive"][trial % 12 // 4]
             if family == 0:
-                sets = list(li_halfspace_pair(rng, dim, ["orthogonal", "negative", "positive"][trial % 9 // 3]))
+                sets = list(li_halfspace_pair(rng, dim, flavor))
             elif family == 1:
-                sets = list(plane_halfspace_li(rng, dim, ["orthogonal", "negative", "positive"][trial % 9 // 3]))
-            else:
+                sets = list(plane_halfspace_li(rng, dim, flavor))
+            elif family == 2:
                 sets = random_hyperplane_system(rng, dim, num_planes=int(rng.integers(2, 5)))
+            else:
+                sets = list(ld_pair_case(rng, dim, dependent[trial // 4 % len(dependent)]))
             out = project(sets, x)
-            lam = [c for c, s in zip(out.coefficients, sets) if isinstance(s, Halfspace)]
-            beta = [c for c, s in zip(out.coefficients, sets) if isinstance(s, Hyperplane)]
+            # a merged halfspace carries one multiplier; the other set gets 0
+            coefficients = list(out.coefficients) + [0.0] * (len(sets) - len(out.coefficients))
+            lam = [c for c, s in zip(coefficients, sets) if isinstance(s, Halfspace)]
+            beta = [c for c, s in zip(coefficients, sets) if isinstance(s, Hyperplane)]
             yield sets, x, out.point, lam, beta
             yield sets, x, out.point, [v + rng.normal() for v in lam], [v * (1 + 1e-6) for v in beta]
             yield sets, x, out.point, [-abs(v) - 1e-12 for v in lam], beta
@@ -624,3 +631,53 @@ class TestKktCheck:
         assert cert.complementarity_residual > KKT_TOL
         assert cert.valid is False
 
+
+class TestCertificateSoundness:
+    def test_halfspace_pair_multipliers(self):
+        rng = np.random.default_rng(43)
+        for _ in range(400):
+            dim = int(rng.integers(2, 6))
+            if rng.uniform() < 0.3:
+                case = LD_PAIR_CASES[int(rng.integers(len(LD_PAIR_CASES)))]
+                if case in EMPTY_LD_PAIR_CASES:
+                    continue
+                w1, w2 = ld_pair_case(rng, dim, case)
+            else:
+                flavor = ["orthogonal", "negative", "positive"][int(rng.integers(3))]
+                w1, w2 = li_halfspace_pair(rng, dim, flavor)
+            x = random_point(rng, dim, 4.0)
+            out = project_halfspace_pair(w1, w2, x)
+            if out.case == "merged_halfspace":
+                merged_eta = min(
+                    w1.eta * np.linalg.norm(w2.u), w2.eta * np.linalg.norm(w1.u)
+                )
+                sets = [Halfspace(out.normals[0], merged_eta)]
+            else:
+                sets = [w1, w2]
+            cert = kkt_check(sets, x, out.point, out.coefficients, [])
+            assert cert.valid
+
+    def test_plane_halfspace_multipliers(self):
+        rng = np.random.default_rng(44)
+        for _ in range(400):
+            dim = int(rng.integers(2, 6))
+            flavor = ["orthogonal", "negative", "positive"][int(rng.integers(3))]
+            h1, w2 = plane_halfspace_li(rng, dim, flavor)
+            x = random_point(rng, dim, 4.0)
+            out = project_hyperplane_halfspace(h1, w2, x)
+            cert = kkt_check(
+                [h1, w2], x, out.point, [out.coefficients[1]], [out.coefficients[0]]
+            )
+            assert cert.valid
+
+    def test_plane_system_multipliers(self):
+        rng = np.random.default_rng(45)
+        from polyproj.instances import random_hyperplane_system
+
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            planes = random_hyperplane_system(rng, dim, num_planes=int(rng.integers(2, 5)))
+            x = random_point(rng, dim)
+            out = project_hyperplanes(planes, x)
+            cert = kkt_check(planes, x, out.point, [], out.coefficients)
+            assert cert.valid
