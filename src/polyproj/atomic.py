@@ -111,7 +111,7 @@ class SetBlock:
         xb = np.asarray(x, dtype=float)
         if xb.shape != self.u.shape:
             raise DimensionMismatch(f"point block has shape {xb.shape}, sets have {self.u.shape}")
-        if not np.isfinite(xb).all():
+        if np.count_nonzero(np.isfinite(xb)) != xb.size:
             raise ValueError("coordinates must be finite")
         return xb
 

@@ -8,11 +8,14 @@ dependence of a pair is decided relative to the Cauchy-Schwarz gap:
 
 which is scale invariant and reduces to the exact criterion as the
 tolerance goes to 0.  The one greedy row scan :func:`_scan_rows` keeps a
-row when its residual against the kept rows (:func:`extend_basis`, or
-:func:`_extend_bases` for a stack) exceeds the same constant times its
-norm; a kept row updates the multipliers by one bordered step
-(:func:`_border`), with no Gram matrix and no LAPACK call.  No function
-takes a tolerance override.
+row when its residual against the kept rows (:func:`_residual`)
+exceeds the same constant times its norm; a kept row updates the
+multipliers by one bordered step, with no Gram matrix and no LAPACK
+call.  The scan borders in place on buffers it allocates once
+(:func:`_border_row`); the oracle's stacked walk grows its stacks with
+:func:`_extend_bases` and :func:`_border`, which give each item the
+bits of the scan's one-row step.  No function takes a tolerance
+override.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def as_vector(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty one-dimensional coordinate array")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("coordinates must be finite")
     return arr
 
@@ -47,7 +50,7 @@ def _as_block(vectors: Sequence) -> np.ndarray:
         if len({np.shape(v) for v in vectors}) > 1:
             raise DimensionMismatch("vectors must share one dimension") from None
         raise
-    if block.ndim != 2 or block.size == 0 or not np.isfinite(block).all():
+    if block.ndim != 2 or block.size == 0 or np.count_nonzero(np.isfinite(block)) != block.size:
         raise ValueError("expected a nonempty list of nonempty finite coordinate arrays")
     return block
 
@@ -207,32 +210,25 @@ def _residual(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``q`` is (k, d) with ``v`` (d,), or a stack (..., k, d) with columns
     ``v`` (..., d, 1).  Written as ``v - qᵀ (q v)``, each product is one
-    BLAS ``gemv`` call per item, the same call alone or in a stack, so
-    every item gets the bits of the one-row call.
+    BLAS ``gemv`` call per item: the call ``ndarray.dot`` makes for one
+    row, without matmul's overhead, and matmul makes for each item of a
+    stack, so every item gets the bits of the one-row call.
     """
     qt = q.swapaxes(-1, -2)
+    if v.ndim == 1:
+        r = v - qt.dot(q.dot(v))
+        return r - qt.dot(q.dot(r))
     r = v - qt @ (q @ v)
     return r - qt @ (q @ r)
 
 
-def extend_basis(q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Unit residual of ``v`` against the orthonormal rows of ``q``, or None.
-
-    ``v`` counts as dependent on the rows, and None is returned, when its
-    residual (:func:`_residual`) is at most ``DEPENDENCE_TOL`` times its
-    own norm.
-    """
-    r = _residual(q, v) if len(q) else v
-    rnorm = _norm(r)
-    if rnorm <= DEPENDENCE_TOL * _norm(v):
-        return None
-    return r / rnorm
-
-
 def _extend_bases(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`extend_basis` of ``v[i]`` (n, d) against ``q[i]`` (n, k, d), bit for bit.
+    """Extend the basis ``q[i]`` (n, k, d) by ``v[i]`` (n, d), as the scan extends its own.
 
-    Returns the mask of the dependent rows and the others' unit residuals.
+    ``v[i]`` counts as dependent when its residual (:func:`_residual`) is
+    at most ``DEPENDENCE_TOL`` times its own norm; each item gets the bits
+    of the scan's one-row test.  Returns the mask of the dependent rows
+    and the others' unit residuals.
     """
     r = _residual(q, v[..., None])[..., 0]
     rnorm = _row_norms(r)
@@ -261,13 +257,42 @@ def _border(w: np.ndarray, p: np.ndarray, beta: np.ndarray, q: np.ndarray, v: np
     return w, p - s[..., None] * q, np.concatenate([beta - t[..., None] * c, t[..., None]], axis=-1)
 
 
+def _border_row(
+    w: np.ndarray, p: np.ndarray, beta: np.ndarray, k: int, q: np.ndarray, v: np.ndarray, rhs: float
+) -> None:
+    """:func:`_border` of one row, in place: row ``v`` becomes row ``k`` of the buffers.
+
+    ``w`` and ``beta`` hold the state of k rows in their first k rows and
+    entries, and ``p`` is stepped in place.  Every entry takes
+    ``_border``'s operations on the same operands, so the state gets the
+    bits of ``_border``'s result; the first row skips the empty updates.
+    """
+    a = row_dots(q, v)
+    s = (row_dots(p, v) + rhs) / a
+    t = s / a
+    wq = q / a
+    if k:
+        c = w[:k].dot(v)
+        w[:k] -= c[:, None] * wq
+        beta[:k] -= t * c
+    w[k] = wq
+    beta[k] = t
+    p -= s * q
+
+
 def _consistent(w: np.ndarray, v: np.ndarray, kept_offsets: np.ndarray, offset):
     """Whether a row ``v`` that depends on rows A, whose W is ``w``, has a matching offset.
 
     A's rows combine to v by c = W v (:func:`_border`), so the offset
     must be <c, kept_offsets> within ``DEPENDENCE_TOL * (1 + |offset|)``,
-    or exactly zero for a zero normal.  Stacks as in :func:`_border`.
+    or exactly zero for a zero normal.  Stacks as in :func:`_border`; one
+    row, with a float ``offset``, is decided on floats.
     """
+    if v.ndim == 1:
+        if not v.any():
+            return offset == 0.0
+        implied = float(row_dots(w.dot(v), kept_offsets))
+        return not abs(offset - implied) > DEPENDENCE_TOL * (1.0 + abs(offset))
     implied = row_dots((w @ v[..., None])[..., 0], kept_offsets)
     fits = ~(np.abs(offset - implied) > DEPENDENCE_TOL * (1.0 + np.abs(offset)))
     return np.where(v.any(axis=-1), fits, offset == 0.0)
@@ -276,27 +301,37 @@ def _consistent(w: np.ndarray, v: np.ndarray, kept_offsets: np.ndarray, offset):
 def _scan_rows(normals: np.ndarray, offsets: np.ndarray | None = None, rhs: np.ndarray | None = None):
     """Keep each row of ``normals`` (n, d), in order, that grows the basis of those kept.
 
-    Returns the kept indices, their state ``(q, w, p, beta)``, q the
-    orthonormal basis and the rest as in :func:`_border` for ``rhs``
-    (zeros by default), and whether every dropped row passed
-    :func:`_consistent` (run only with ``offsets``, up to the first that
-    fails).  The norms rescale a square that overflows, so it is silenced.
+    A row is kept when its residual against the kept rows is above
+    ``DEPENDENCE_TOL`` times its norm.  Returns the kept indices, their
+    state ``(q, w, p, beta)``, q the orthonormal basis and the rest as in
+    :func:`_border` for ``rhs`` (zeros by default), and whether every
+    dropped row passed :func:`_consistent` (run only with ``offsets``, up
+    to the first that fails).  The state lives in buffers allocated once,
+    and each kept row is bordered in place (:func:`_border_row`).  The
+    norms rescale a square that overflows, so it is silenced.
     """
-    d = normals.shape[1]
-    q, w, p, beta = np.empty((0, d)), np.empty((0, d)), np.zeros(d), np.zeros(0)
-    rhs = np.zeros(len(normals)) if rhs is None else rhs
+    n, d = normals.shape
+    # a row whose residual is NaN (its product with the basis overflows)
+    # counts as independent, so up to n rows, not d, can be kept
+    q, w, p, beta = np.empty((n, d)), np.empty((n, d)), np.zeros(d), np.empty(n)
+    rhs = [0.0] * n if rhs is None else rhs.tolist()
     kept: list[int] = []
     consistent = True
     with np.errstate(over="ignore"):
+        norms = _row_norms(normals).tolist()
         for row, v in enumerate(normals):
-            unit = extend_basis(q, v)
-            if unit is not None:
-                w, p, beta = _border(w, p, beta, unit, v, rhs[row])
-                q = np.concatenate([q, unit[None]])
-                kept.append(row)
-            elif consistent and offsets is not None:
-                consistent = bool(_consistent(w, v, offsets[kept], offsets[row]))
-    return tuple(kept), (q, w, p, beta), consistent
+            k = len(kept)
+            r = _residual(q[:k], v) if k else v
+            rnorm = _norm(r)
+            if rnorm <= DEPENDENCE_TOL * norms[row]:
+                if consistent and offsets is not None:
+                    consistent = _consistent(w[:k], v, offsets[kept], float(offsets[row]))
+                continue
+            q[k] = r / rnorm
+            _border_row(w, p, beta, k, q[k], v, rhs[row])
+            kept.append(row)
+    k = len(kept)
+    return tuple(kept), (q[:k], w[:k], p, beta[:k]), consistent
 
 
 @dataclass(frozen=True)

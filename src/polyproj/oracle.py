@@ -174,7 +174,9 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
     normals = np.array([s.u for s in rows]).reshape(len(rows), xv.shape[0])
     offsets = np.array([s.eta for s in rows])
     rhs = row_dots(normals, xv) - offsets
-    normal_norms = np.array([s.norm for s in rows])
+    # the sets' cached |u| is inf where |u|^2 overflows; these norms rescale
+    with np.errstate(over="ignore"):
+        normal_norms = _row_norms(normals)
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
 

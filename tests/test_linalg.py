@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from polyproj import (
     DimensionMismatch,
+    Halfspace,
+    Hyperplane,
     PairTag,
     SingularGram,
     classify_pair,
@@ -14,15 +17,18 @@ from polyproj import (
     max_independent_subset,
     solve_gram,
 )
+from polyproj.atomic import SetBlock
 from polyproj.linalg import (
     DEPENDENCE_TOL,
+    _as_block,
     _border,
     _consistent,
     _extend_bases,
     _norm,
+    _residual,
     _row_norms,
     _scan_rows,
-    extend_basis,
+    as_vector,
     row_dots,
 )
 
@@ -58,6 +64,32 @@ class TestInner:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             inner([1, float("nan")], [1, 2])
+
+
+class TestFiniteCoordinates:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_each_non_finite_position_rejected(self, dim):
+        # one vector, a block of rows, and a point block for a SetBlock
+        block = SetBlock([Halfspace(np.ones(dim), 0.0), Hyperplane(np.ones(dim), 0.0)])
+        checks = (as_vector, lambda x: _as_block([np.ones(dim), x]), lambda x: block.points([np.ones(dim), x]))
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(dim):
+                x = np.ones(dim)
+                x[i] = bad
+                for check in checks:
+                    with pytest.raises(ValueError):
+                        check(x)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_huge_finite_coordinates_pass_without_warning(self, dim):
+        # the square of 1e308 overflows, so a test on |x|^2 would warn or reject
+        block = SetBlock([Halfspace(np.ones(dim), 0.0), Hyperplane(np.ones(dim), 0.0)])
+        x = np.full(dim, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_vector(x).tobytes() == x.tobytes()
+            assert _as_block([x, -x]).tobytes() == np.array([x, -x]).tobytes()
+            assert block.points([x, -x]).tobytes() == np.array([x, -x]).tobytes()
 
 
 class TestClassifyPair:
@@ -200,6 +232,15 @@ class TestRowNorms:
         assert _row_norms(np.zeros((0, 3))).shape == (0,)
 
 
+def extend_basis(q, v):
+    """Unit residual of ``v`` against the orthonormal rows of ``q``, or None when dependent."""
+    r = _residual(q, v) if len(q) else v
+    rnorm = _norm(r)
+    if rnorm <= DEPENDENCE_TOL * _norm(v):
+        return None
+    return r / rnorm
+
+
 def one_row_unit(q, v):
     """The one-row basis step as a loop of 1-D products: v - (q v) q, taken twice."""
     r = v
@@ -307,6 +348,91 @@ class TestStackedConsistent:
         w = np.eye(2)[:1]
         assert _consistent(w, np.zeros(2), np.array([3.0]), 0.0)
         assert not _consistent(w, np.zeros(2), np.array([3.0]), 1e-300)
+
+
+def reference_scan(normals, offsets=None, rhs=None):
+    """The row scan that regrows its state with the stacked step, one row at a time.
+
+    Each kept row concatenates onto q and is bordered by ``_border``; a
+    dropped row is checked by ``_consistent`` as a stack of one.
+    """
+    d = normals.shape[1]
+    q, w, p, beta = np.empty((0, d)), np.empty((0, d)), np.zeros(d), np.zeros(0)
+    rhs = np.zeros(len(normals)) if rhs is None else rhs
+    kept = []
+    consistent = True
+    with np.errstate(over="ignore"):
+        for row, v in enumerate(normals):
+            unit = extend_basis(q, v)
+            if unit is not None:
+                w, p, beta = _border(w, p, beta, unit, v, rhs[row])
+                q = np.concatenate([q, unit[None]])
+                kept.append(row)
+            elif consistent and offsets is not None:
+                consistent = bool(_consistent(w[None], v[None], offsets[kept][None], offsets[row : row + 1])[0])
+    return tuple(kept), (q, w, p, beta), consistent
+
+
+def degenerate_system(rng, dim):
+    """Rows in R^dim with offsets: random rows, then zero, scaled, opposed and
+    combined copies of earlier rows, each offset consistent with the copied
+    rows' or shifted by 1e-12 or 0.5.  A third of the systems have zero
+    offsets before the shifts; two thirds have every row and offset scaled
+    by 10^[-150, 150]."""
+    n = int(rng.integers(1, dim + 4))
+    kind = rng.integers(3)
+    offset = (lambda: 0.0) if kind == 0 else rng.normal
+    rows, offsets = [rng.normal(size=dim)], [offset()]
+    for i in range(1, n):
+        copy = rng.choice(["random", "zero", "scaled", "opposed", "combined"])
+        if copy == "random":
+            rows.append(rng.normal(size=dim))
+            offsets.append(offset())
+            continue
+        if copy == "zero":
+            coeffs = np.zeros(i)
+        elif copy == "combined":
+            coeffs = rng.normal(size=i)
+        else:
+            coeffs = np.zeros(i)
+            coeffs[rng.integers(i)] = rng.uniform(0.1, 10.0) * (-1.0 if copy == "opposed" else 1.0)
+        rows.append(coeffs @ np.array(rows))
+        offsets.append(float(coeffs @ np.array(offsets)) + rng.choice([0.0, 0.0, 1e-12, 0.5]))
+    scale = 10.0 ** rng.uniform(-150, 150, size=n) if kind else np.ones(n)
+    return np.array(rows) * scale[:, None], np.array(offsets) * scale
+
+
+class TestScanAgainstReference:
+    def assert_same_scan(self, normals, offsets=None, rhs=None):
+        got_kept, got_state, got_consistent = _scan_rows(normals, offsets, rhs)
+        kept, state, consistent = reference_scan(normals, offsets, rhs)
+        assert got_kept == kept
+        for got, want in zip(got_state, state):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_consistent == consistent
+        return kept, consistent
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_degenerate_systems_have_the_reference_bits(self, dim):
+        rng = np.random.default_rng(400 + dim)
+        seen = {"dropped": 0, True: 0, False: 0}
+        with np.errstate(over="ignore"):
+            for _ in range(80):
+                normals, offsets = degenerate_system(rng, dim)
+                rhs = row_dots(normals, rng.normal(size=dim)) - offsets
+                self.assert_same_scan(normals)
+                self.assert_same_scan(normals, rhs=rhs)
+                kept, consistent = self.assert_same_scan(normals, offsets, rhs)
+                seen["dropped"] += len(kept) < len(normals)
+                seen[consistent] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_residual_that_overflows_to_nan(self):
+        # <q, v> overflows, so the residual and every later one is NaN and
+        # counts as independent: the scan keeps more rows than the dimension
+        normals = np.array([[0.6, 0.8], [1e308, 1.7e308], [1.0, 2.0], [3.0, 1.0]])
+        with np.errstate(all="ignore"):
+            self.assert_same_scan(normals, np.zeros(4), np.ones(4))
 
 
 class TestOverflowSafeNorms:

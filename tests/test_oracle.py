@@ -57,6 +57,14 @@ class TestOracleProject:
         np.testing.assert_allclose(cert.lam, [0])
         assert cert.valid
 
+    def test_normal_whose_square_overflows_still_binds(self):
+        # |u|^2 overflows, so the membership bound must come from the rescaled
+        # |u|: one from inf reads x as inside and returns it, uncertified
+        with np.errstate(over="ignore"):
+            point, cert = oracle_project([Halfspace([1e200, 1e200], 0.0)], [1, 2])
+        assert np.abs(point - [-0.5, 0.5]).max() <= 1e-12
+        assert cert.valid
+
     def test_halfspace_rows_need_no_boundary_copies(self, monkeypatch):
         # the halfspaces hold u, eta and |u| already; their boundary planes are not built
         rng = np.random.default_rng(31)
@@ -253,17 +261,17 @@ class TestActiveSetPruning:
         # the other 162 by the walk; duplicating the plane leaves rank(E) = 1,
         # so the count must not move
         scanned, walked = [], []
-        step = polyproj.linalg._border
 
-        def counting(steps):
-            def counting_step(w, p, beta, q, v, rhs):
+        def counting(steps, step):
+            def counting_step(*args):
+                v = args[-2]  # both steps take (..., v, rhs)
                 steps.append(1 if v.ndim == 1 else len(v))
-                return step(w, p, beta, q, v, rhs)
+                return step(*args)
 
             return counting_step
 
-        monkeypatch.setattr(polyproj.linalg, "_border", counting(scanned))
-        monkeypatch.setattr(polyproj.oracle, "_border", counting(walked))
+        monkeypatch.setattr(polyproj.linalg, "_border_row", counting(scanned, polyproj.linalg._border_row))
+        monkeypatch.setattr(polyproj.oracle, "_border", counting(walked, polyproj.oracle._border))
         rng = np.random.default_rng(47)
         anchor = random_point(rng, 5, 1.0)
         u = unit_vector(rng, 5)
