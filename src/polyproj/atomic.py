@@ -4,7 +4,8 @@ Every path onto one set takes one step, :func:`step`, along the normal:
 
     P_H x = x + (eta - <x,u>) / |u|^2 * u
 
-and a halfspace takes it only when the point is strictly outside.
+on the set's prescaled (u, eta) (see :mod:`polyproj.sets`), and a
+halfspace takes it only when the point is strictly outside.
 Points within ``sets.membership_bound`` at ``BOUNDARY_TOL`` are returned
 unchanged (both branches agree on the boundary, so snapping avoids a
 needless perturbation).
@@ -44,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet
-from .linalg import _norm, _row_norms, row_dots
+from .linalg import _ldexp, _norm, _row_norms, row_dots
 from .sets import Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
 BOUNDARY_TOL = 1e-12
@@ -53,19 +54,20 @@ BOUNDARY_TOL = 1e-12
 def step(s: LinearSet, xv: np.ndarray) -> tuple[np.ndarray, float]:
     """Step a checked point onto a nonempty hyperplane or halfspace; returns (point, multiplier).
 
-    With ``gap = eta - <x,u>`` the point moves to ``x + gap / |u|^2 * u``,
-    with multiplier ``-gap / |u|^2``, when the set is a hyperplane with a
+    With ``gap = eta - <x,u>`` on the prescaled (u, eta), the point moves
+    to ``x + gap / |u|^2 * u``, with multiplier ``-gap / |u|^2`` mapped
+    back to the caller's scale, when the set is a hyperplane with a
     nonzero normal or when ``-gap`` is above ``membership_bound`` at
     ``BOUNDARY_TOL``; otherwise it comes back unchanged with multiplier 0.
     IEEE negation is exact, so a moved halfspace point has the bits of
     ``x - (<x,u> - eta) / |u|^2 * u`` and a positive multiplier.
     """
-    gap = s.eta - float(np.dot(xv, s.u))
+    gap = s._eta - float(np.dot(xv, s._u))
     always_moves = isinstance(s, Hyperplane) and not s.has_zero_normal
-    if not always_moves and -gap <= membership_bound(s.eta, s.norm, _norm(xv), BOUNDARY_TOL):
+    if not always_moves and -gap <= membership_bound(s._eta, s._norm, _norm(xv), BOUNDARY_TOL):
         return xv.copy(), 0.0
-    t = gap / s.norm_sq
-    return xv + t * s.u, -t
+    t = gap / s._norm_sq
+    return xv + t * s._u, _ldexp(-t, s._k)
 
 
 def project_onto(s: LinearSet, x) -> np.ndarray:
@@ -83,7 +85,8 @@ class SetBlock:
     """Linear sets stacked row by row for the row kernels.
 
     ``u`` (n, d), ``eta``, ``norm_sq`` and ``norm`` (n,) stack each set's
-    own values; ``is_hyperplane`` marks the hyperplane rows and
+    prescaled values (see :mod:`polyproj.sets`), and ``_k`` their
+    exponents; ``is_hyperplane`` marks the hyperplane rows and
     ``always_moves`` those with a nonzero normal, the rows whose
     projection always steps.  Raises EmptySet if any set is empty and
     DimensionMismatch unless all share one dimension.  The arrays are
@@ -97,13 +100,14 @@ class SetBlock:
         for i, s in enumerate(sets):
             if is_empty(s):
                 raise EmptySet(f"set {i} ({s.kind} with zero normal) is empty")
-        self.u = np.array([s.u for s in sets])
-        self.eta = np.array([s.eta for s in sets])
-        self.norm_sq = np.array([s.norm_sq for s in sets])
-        self.norm = np.array([s.norm for s in sets])
+        self.u = np.array([s._u for s in sets])
+        self.eta = np.array([s._eta for s in sets])
+        self.norm_sq = np.array([s._norm_sq for s in sets])
+        self.norm = np.array([s._norm for s in sets])
+        self._k = np.array([s._k for s in sets])
         self.is_hyperplane = np.array([isinstance(s, Hyperplane) for s in sets])
         self.always_moves = self.is_hyperplane & (self.norm_sq != 0.0)
-        for arr in (self.u, self.eta, self.norm_sq, self.norm, self.is_hyperplane, self.always_moves):
+        for arr in (self.u, self.eta, self.norm_sq, self.norm, self._k, self.is_hyperplane, self.always_moves):
             arr.setflags(write=False)
 
     def points(self, x) -> np.ndarray:

@@ -80,11 +80,10 @@ def canonical_json(obj) -> str:
 def write_csv(path, header, rows) -> None:
     """Write comma-separated rows, one per line, with LF line ends.
 
-    Floats get 17 significant digits so they read back exactly; booleans
-    are written ``true``/``false``; anything else goes through ``str``.
-    Each row shape (the types of its cells) gets one ``%`` template:
-    ``"%.17g" % v`` is ``format(v, ".17g")`` for a float, ``"%d"`` is
-    ``str`` for an int, and a cell of any other type (bool, numpy
+    A string cell is written as it is, any other as :func:`canonical_json`
+    writes it.  Each row shape (the types of its cells) gets one ``%``
+    template: ``"%.17g" % v`` is ``format(v, ".17g")`` for a float, and
+    ``"%d"`` is ``str`` for an int; a cell of any other type (bool, numpy
     scalars, subclasses) goes through :func:`_csv_cell`.
     """
     lines = [",".join(header)]
@@ -108,13 +107,7 @@ _CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
 
 
 def _csv_cell(value) -> str:
-    # bool before float, and isinstance rather than type(): np.float64 is a
-    # float subclass and must get 17 digits too
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return value if isinstance(value, str) else canonical_json(value)
 
 
 def _certificate_dict(cert: KktCertificate) -> dict:
@@ -258,8 +251,6 @@ def _experiment_rates(rng, config, rows, counts):
     for _ in range(config.k_max):
         current = project_rows(second_block, project_rows(first_block, current))
         observed.append(_row_norms(current - reference))
-    # Python floats, so every ok below is a Python bool: the CSV writer
-    # prints an np.bool_ as True, not true
     errors_by_trial = np.stack(observed, axis=1).tolist()
     for trial, (family, gamma, base, errors) in enumerate(
         zip(families, gammas, bases, errors_by_trial)
@@ -317,12 +308,13 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
         misses = composed[exact] - references[[ref_rows[i] for i in exact]]
         deviations = dict(zip(exact, _row_norms(misses).tolist()))
     # one_step_feasible's violation max(<c,u1> - eta1, <c,u2> - eta2, 0.0); it
-    # is ok when no gap is above membership_bound, where contains says OUTSIDE
+    # is ok when no gap is above membership_bound, where contains says
+    # OUTSIDE: both on the prescaled sets, the gaps written in the caller's
     blocks, norms = (first_block, second_block), _row_norms(composed)
     gaps1, gaps2 = (row_dots(composed, b.u) - b.eta for b in blocks)
     bound1, bound2 = (membership_bound(b.eta, b.norm, norms, MEMBERSHIP_TOL) for b in blocks)
     feasible = ((gaps1 <= bound1) & (gaps2 <= bound2)).tolist()
-    gaps1, gaps2 = gaps1.tolist(), gaps2.tolist()
+    gaps1, gaps2 = (np.ldexp(g, -b._k).tolist() for g, b in zip((gaps1, gaps2), blocks))
     for i, (trial, family) in enumerate(zip(trials, families)):
         if i in deviations:
             dev = deviations[i]

@@ -33,18 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import SetBlock, _step_rows, step
-from .errors import DependentNormals, DimensionMismatch, EmptySet, ZeroNormal
-from .linalg import _dependent, _norm, _scan_rows, row_dots
+from .errors import DependentNormals, DimensionMismatch, EmptySet
+from .linalg import _dependent, _ldexp, _norm, _prescaled, _scan_rows, row_dots
 from .oracle import KKT_TOL, KktCertificate, _split, kkt_check
-from .sets import (
-    _TINY,
-    Halfspace,
-    Hyperplane,
-    LinearSet,
-    checked_point,
-    is_empty,
-    membership_bound,
-)
+from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
 ILL_CONDITIONED_GAMMA = 1.0 - 1e-6
 
@@ -99,9 +91,10 @@ class ProjectionBreakdown:
 
 
 def _pair_terms(first: LinearSet, second: Halfspace, xv):
-    u1, u2 = first.u, second.u
-    a1 = float(np.dot(xv, u1)) - first.eta
-    a2 = float(np.dot(xv, u2)) - second.eta
+    # on the prescaled sets, as every pair formula is
+    u1, u2 = first._u, second._u
+    a1 = float(np.dot(xv, u1)) - first._eta
+    a2 = float(np.dot(xv, u2)) - second._eta
     return a1, a2, float(np.dot(u1, u2))
 
 
@@ -128,9 +121,9 @@ def classify_region_halfspace_pair(w1: Halfspace, w2: Halfspace, x) -> Region:
     if not (isinstance(w1, Halfspace) and isinstance(w2, Halfspace)):
         raise ValueError("region labels C1, C2 and C3 need two halfspaces")
     a1, a2, q = _pair_terms(w1, w2, xv)
-    if _dependent(_norm(w1.u), _norm(w2.u), q):
+    if _dependent(w1._norm, w2._norm, q):
         raise DependentNormals("region labels require independent normals")
-    return _region_of(a1, a2, q, w1.norm_sq, w2.norm_sq)
+    return _region_of(a1, a2, q, w1._norm_sq, w2._norm_sq)
 
 
 def _contradicts(q, eta1, eta2, n1, n2):
@@ -148,7 +141,7 @@ def _dependent_pair(first: LinearSet, second: Halfspace, xv, a1, q) -> Projectio
         raise EmptySet("empty intersection")
     plane = isinstance(first, Hyperplane)
     sets = (first, second)
-    n1, n2 = first.norm, second.norm
+    n1, n2 = first._norm, second._norm
 
     if n1 == 0.0:  # the first set is the whole space; if n2 is 0 too, the step keeps x
         point, t = step(second, xv)
@@ -159,7 +152,8 @@ def _dependent_pair(first: LinearSet, second: Halfspace, xv, a1, q) -> Projectio
         return ProjectionBreakdown(point, np.array([t, 0.0]), sets, case="first_set_only")
     if not plane and q > 0.0:
         # The intersection is a single halfspace whose normal merges the
-        # pair; the lone multiplier refers to that merged halfspace.
+        # pair, in the caller's scale; the lone multiplier refers to it.
+        n1, n2 = first.norm, second.norm
         merged = Halfspace(n2 * first.u, min(first.eta * n2, second.eta * n1))
         point, t = step(merged, xv)
         return ProjectionBreakdown(
@@ -167,12 +161,13 @@ def _dependent_pair(first: LinearSet, second: Halfspace, xv, a1, q) -> Projectio
         )
 
     # a plane with a zero second normal reads 0 > eta2 * n1, false as the halfspace is nonempty
-    if _contradicts(q, first.eta, second.eta, n1, n2):
+    if _contradicts(q, first._eta, second._eta, n1, n2):
         raise EmptySet("empty intersection")
     if plane:
         xi1 = a1 / (n1 * n1)
         case = "halfspace_is_whole_space" if n2 == 0.0 else "plane_inside_halfspace"
-        return ProjectionBreakdown(xv - xi1 * first.u, np.array([xi1, 0.0]), sets, case=case)
+        point = xv - xi1 * first._u
+        return ProjectionBreakdown(point, np.array([_ldexp(xi1, first._k), 0.0]), sets, case=case)
     # opposed halfspaces: a slab
     point, t = step(first, xv)
     if t > 0.0:
@@ -195,21 +190,18 @@ def project_halfspace_pair(first: LinearSet, second: Halfspace, x) -> Projection
         raise ValueError("each pair must be two halfspaces or a hyperplane and a halfspace")
     xv = checked_point((first, second), x)
     a1, a2, q = _pair_terms(first, second, xv)
-    # _norm rather than the cached norm, which is inf when |u|^2 overflows
-    n1, n2 = _norm(first.u), _norm(second.u)
+    n1, n2 = first._norm, second._norm
     if _dependent(n1, n2, q):
         return _dependent_pair(first, second, xv, a1, q)
 
-    n1sq, n2sq = first.norm_sq, second.norm_sq
+    n1sq, n2sq = first._norm_sq, second._norm_sq
     if plane:
         region = Region.IN_C if a2 * n1sq - a1 * q > 0.0 else Region.NOT_IN_C
     else:
         region = _region_of(a1, a2, q, n1sq, n2sq)
     g1 = g2 = 0.0
     if region is Region.C3 or region is Region.IN_C:
-        det = n1sq * n2sq - q * q  # positive for an independent pair unless it underflows
-        if det < _TINY:
-            raise ZeroNormal("determinant of the normals underflows")
+        det = n1sq * n2sq - q * q  # at least 1e-10 n1sq n2sq, as the pair is independent
         g1 = (n2sq * a1 - q * a2) / det
         g2 = (n1sq * a2 - q * a1) / det
         if not plane:
@@ -219,11 +211,10 @@ def project_halfspace_pair(first: LinearSet, second: Halfspace, x) -> Projection
     elif region is Region.C2:
         g2 = a2 / n2sq
     # x - g1 u1 keeps a -0.0 coordinate that "- 0.0 * u2" would turn into +0.0
-    point = xv - g1 * first.u if region is Region.NOT_IN_C else xv - g1 * first.u - g2 * second.u
+    point = xv - g1 * first._u if region is Region.NOT_IN_C else xv - g1 * first._u - g2 * second._u
     flag = abs(q) / (n1 * n2) > ILL_CONDITIONED_GAMMA
-    return ProjectionBreakdown(
-        point, np.array([g1, g2]), (first, second), region=region, ill_conditioned=flag
-    )
+    coefficients = np.array([_ldexp(g1, first._k), _ldexp(g2, second._k)])
+    return ProjectionBreakdown(point, coefficients, (first, second), region=region, ill_conditioned=flag)
 
 
 project_hyperplane_halfspace = project_halfspace_pair
@@ -236,9 +227,9 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
     order; both kinds may share a block.  Row i gets the point
     :func:`project_halfspace_pair` gives it alone, bit for bit (see
     :mod:`polyproj.atomic`); the multipliers are not returned.  Like that
-    projector it raises EmptySet for a contradictory dependent pair and
-    ZeroNormal when a merged normal or the determinant of an independent
-    pair underflows.
+    projector it reads only the prescaled sets, whose one power-of-two
+    scale keeps every square and the 2x2 determinant in the float range,
+    and raises EmptySet for a contradictory dependent pair.
     """
     if second.is_hyperplane.any():
         raise ValueError("each pair must be two halfspaces or a hyperplane and a halfspace")
@@ -272,8 +263,6 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
     not_in_c = ~dependent & plane & ~in_c
     plane_only = dependent & plane & ~zero1
     det = n1sq * n2sq - q * q
-    if ((c3 | in_c) & (det < _TINY)).any():
-        raise ZeroNormal("determinant of the normals underflows")
     g1, g2 = np.zeros_like(a1), np.zeros_like(a1)
     np.divide(n2sq * a1 - q * a2, det, out=g1, where=c3 | in_c)
     np.divide(n1sq * a2 - q * a1, det, out=g2, where=c3 | in_c)
@@ -284,14 +273,15 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
     np.divide(a1, n1 * n1, out=g1, where=plane_only)
 
     # halfspace steps onto the second set, and onto the first set or, on
-    # merged rows, Halfspace(n2 * u1, min(eta1 * n2, eta2 * n1)); where
+    # merged rows, Halfspace(n2 * u1, min(eta1 * n2, eta2 * n1)) prescaled
+    # by its own power of two, which leaves a prescaled u1 as it is; where
     # mu is u1, row_dots gives its |u1|^2 bit for bit
-    mu = np.where(merged[:, None], n2[:, None] * u1, u1)
-    mu_sq = row_dots(mu, mu)
-    if (merged & (mu_sq < _TINY) & mu.any(axis=1)).any():
-        raise ZeroNormal("merged normal is nonzero but its squared norm underflows")
     e1, e2 = first.eta * n2, second.eta * n1
+    mu = np.where(merged[:, None], n2[:, None] * u1, u1)
     mu_eta = np.where(merged, np.where(e2 < e1, e2, e1), first.eta)
+    mu, k = _prescaled(mu)
+    mu_eta = np.ldexp(mu_eta, k)
+    mu_sq = row_dots(mu, mu)
     onto_first, moved = _step_rows(mu, mu_eta, mu_sq, np.sqrt(mu_sq), False, xb)
     onto_second = _step_rows(u2, second.eta, n2sq, n2, False, xb)[0]
     take_first = ~plane & ~zero1 & (zero2 | merged | (slab & moved))
@@ -315,16 +305,16 @@ def project_hyperplanes(planes: Sequence[Hyperplane], x) -> ProjectionBreakdown:
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
     xv = checked_point(planes, x)
-    normals = np.array([p.u for p in planes])
-    offsets = np.array([p.eta for p in planes])
+    normals = np.array([p._u for p in planes])
+    offsets = np.array([p._eta for p in planes])
     kept, (_, _, _, beta), consistent = _scan_rows(normals, offsets, row_dots(normals, xv) - offsets)
     if not consistent:
         raise EmptySet("empty intersection")
     point = xv.copy()
     coefficients = np.zeros(len(planes))
-    for b, idx in zip(beta, kept):
-        point -= b * planes[idx].u
-        coefficients[idx] = b
+    for b, idx in zip(beta.tolist(), kept):
+        point -= b * normals[idx]
+        coefficients[idx] = _ldexp(b, planes[idx]._k)
     return ProjectionBreakdown(point, coefficients, tuple(planes))
 
 
@@ -369,9 +359,11 @@ def certify(bd: ProjectionBreakdown, x, tol: float = KKT_TOL) -> KktCertificate:
     beta = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Hyperplane)]
     cert = kkt_check(bd.sets, x, bd.point, lam, beta, tol)
     p = bd.point
-    # |<p,u> - eta| for hyperplanes, <p,u> - eta for halfspaces
+    # |<p,u> - eta| for hyperplanes, <p,u> - eta for halfspaces, each judged
+    # on its prescaled set, where it is ldexp(gap, k)
     gaps = [float(np.dot(p, s.u)) - s.eta for s in bd.inputs]
     gaps = [abs(g) if isinstance(s, Hyperplane) else g for s, g in zip(bd.inputs, gaps)]
-    if any(g > membership_bound(s.eta, s.norm, _norm(p), tol) for s, g in zip(bd.inputs, gaps)):
+    pn = _norm(p)
+    if any(_ldexp(g, s._k) > membership_bound(s._eta, s._norm, pn, tol) for s, g in zip(bd.inputs, gaps)):
         cert = replace(cert, feasibility_residual=max(cert.feasibility_residual, *gaps), valid=False)
     return cert

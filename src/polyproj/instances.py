@@ -55,8 +55,11 @@ def pair_of_normals(
     """Draw (u1, u2) with the requested relation.
 
     ``flavor`` is one of "dependent_positive", "dependent_negative",
-    "orthogonal", "negative", "positive".
+    "orthogonal", "negative", "positive"; the last three raise ValueError
+    for ``dim`` < 2, where every pair is dependent.
     """
+    if dim < 2 and flavor in ("orthogonal", "negative", "positive"):
+        raise ValueError(f"{flavor} normals need dim >= 2")
     u1 = unit_vector(rng, dim)
     if flavor == "dependent_positive":
         return u1, float(rng.uniform(0.5, 2.0)) * u1

@@ -1,7 +1,9 @@
 """Inner-product primitives, one dependence tolerance, and the row step.
 
-Vectors are one-dimensional numpy arrays of finite floats.  Linear
-dependence of a pair is decided relative to the Cauchy-Schwarz gap:
+Vectors are one-dimensional numpy arrays of finite floats.  Rows reach
+the scan prescaled by the one rule of :mod:`polyproj.sets` (one power of
+two per row, :func:`_prescaled` for raw vectors).  Linear dependence of
+a pair is decided relative to the Cauchy-Schwarz gap:
 ``u1`` and ``u2`` count as dependent when
 
     |u1| |u2| - |<u1, u2>|  <=  DEPENDENCE_TOL * |u1| |u2|
@@ -74,6 +76,20 @@ def _norm(v: np.ndarray) -> float:
         scale = float(np.abs(v).max())
         norm = scale * _norm(v / scale)
     return norm
+
+
+def _ldexp(v: float, k: int) -> float:
+    """``v * 2**k``, exact as ``math.ldexp`` is, but a signed inf where that raises OverflowError."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _prescaled(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, k): each row of ``block`` times ``2**k``, the power that puts its largest entry in [0.5, 1)."""
+    k = -np.frexp(np.abs(block).max(axis=1))[1]
+    return np.ldexp(block, k[:, None]), k
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -189,8 +205,8 @@ def classify_pair(u1, u2) -> PairClass:
 def solve_gram(generators: Sequence, rhs) -> np.ndarray:
     """Solve G(a_1..a_m) beta = rhs for linearly independent generators.
 
-    ``beta`` is the row scan's (:func:`_scan_rows`) for ``rhs``; a
-    generator the scan drops as dependent raises SingularGram.
+    ``beta`` is the row scan's (:func:`_scan_rows`) for ``rhs``, on the
+    prescaled rows; a generator the scan drops raises SingularGram.
     """
     b = np.asarray(rhs, dtype=float)
     if b.ndim != 1 or b.shape[0] != len(generators):
@@ -199,10 +215,11 @@ def solve_gram(generators: Sequence, rhs) -> np.ndarray:
         )
     if len(generators) == 0:
         return np.zeros(0)
-    kept, (_, _, _, beta), _ = _scan_rows(_as_block(generators), rhs=b)
+    rows, k = _prescaled(_as_block(generators))
+    kept, (_, _, _, beta), _ = _scan_rows(rows, rhs=np.ldexp(b, k))
     if len(kept) < len(generators):
         raise SingularGram("Gram matrix is singular; generators are numerically dependent")
-    return beta
+    return np.ldexp(beta, k)
 
 
 def _residual(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -306,30 +323,28 @@ def _scan_rows(normals: np.ndarray, offsets: np.ndarray | None = None, rhs: np.n
     state ``(q, w, p, beta)``, q the orthonormal basis and the rest as in
     :func:`_border` for ``rhs`` (zeros by default), and whether every
     dropped row passed :func:`_consistent` (run only with ``offsets``, up
-    to the first that fails).  The state lives in buffers allocated once,
-    and each kept row is bordered in place (:func:`_border_row`).  The
-    norms rescale a square that overflows, so it is silenced.
+    to the first that fails).  On prescaled rows no product overflows,
+    so at most min(n, d) rows are kept, in buffers allocated once; each
+    is bordered in place (:func:`_border_row`).
     """
     n, d = normals.shape
-    # a row whose residual is NaN (its product with the basis overflows)
-    # counts as independent, so up to n rows, not d, can be kept
-    q, w, p, beta = np.empty((n, d)), np.empty((n, d)), np.zeros(d), np.empty(n)
+    m = min(n, d)
+    q, w, p, beta = np.empty((m, d)), np.empty((m, d)), np.zeros(d), np.empty(m)
     rhs = [0.0] * n if rhs is None else rhs.tolist()
     kept: list[int] = []
     consistent = True
-    with np.errstate(over="ignore"):
-        norms = _row_norms(normals).tolist()
-        for row, v in enumerate(normals):
-            k = len(kept)
-            r = _residual(q[:k], v) if k else v
-            rnorm = _norm(r)
-            if rnorm <= DEPENDENCE_TOL * norms[row]:
-                if consistent and offsets is not None:
-                    consistent = _consistent(w[:k], v, offsets[kept], float(offsets[row]))
-                continue
-            q[k] = r / rnorm
-            _border_row(w, p, beta, k, q[k], v, rhs[row])
-            kept.append(row)
+    norms = _row_norms(normals).tolist()
+    for row, v in enumerate(normals):
+        k = len(kept)
+        r = _residual(q[:k], v) if k else v
+        rnorm = _norm(r)
+        if rnorm <= DEPENDENCE_TOL * norms[row]:
+            if consistent and offsets is not None:
+                consistent = _consistent(w[:k], v, offsets[kept], float(offsets[row]))
+            continue
+        q[k] = r / rnorm
+        _border_row(w, p, beta, k, q[k], v, rhs[row])
+        kept.append(row)
     k = len(kept)
     return tuple(kept), (q[:k], w[:k], p, beta[:k]), consistent
 
@@ -348,6 +363,6 @@ def max_independent_subset(vectors: Sequence) -> IndependentSubset:
     """Greedily select a maximal linearly independent subfamily.
 
     Scans in input order (first vector wins ties), extending an
-    orthonormal basis of the retained vectors (:func:`_scan_rows`).
+    orthonormal basis of the prescaled vectors kept (:func:`_scan_rows`).
     """
-    return IndependentSubset(_scan_rows(_as_block(vectors))[0])
+    return IndependentSubset(_scan_rows(_prescaled(_as_block(vectors))[0])[0])

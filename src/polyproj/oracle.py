@@ -13,7 +13,10 @@ reduction are a visited subset, reduced to the same rows.  The
 enumeration is exponential by design; it exists to check the
 closed-form projectors, not to replace them.
 
-The hyperplanes are scanned once by ``linalg._scan_rows``.  When x
+Every row is a set's prescaled normal and offset (see
+:mod:`polyproj.sets`), and the multipliers are mapped back to the
+caller's scale at the end.  The hyperplanes are scanned once by
+``linalg._scan_rows``.  When x
 projected onto the kept rows is x itself (distance 0) and feasible, it
 is the projection and nothing more is visited; otherwise the subsets
 are walked one level at a time, in groups of at most ``GRAM_STACK``.
@@ -42,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
-from .linalg import _border, _consistent, _extend_bases, _norm, _row_norms, _scan_rows
+from .linalg import _border, _consistent, _extend_bases, _ldexp, _norm, _row_norms, _scan_rows
 from .linalg import as_vector, row_dots
 from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
@@ -171,12 +174,10 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
 
     ne = len(eq)
     rows = eq + ineq  # a halfspace row stands for its boundary
-    normals = np.array([s.u for s in rows]).reshape(len(rows), xv.shape[0])
-    offsets = np.array([s.eta for s in rows])
+    normals = np.array([s._u for s in rows]).reshape(len(rows), xv.shape[0])
+    offsets = np.array([s._eta for s in rows])
+    normal_norms = np.array([s._norm for s in rows])
     rhs = row_dots(normals, xv) - offsets
-    # the sets' cached |u| is inf where |u|^2 overflows; these norms rescale
-    with np.errstate(over="ignore"):
-        normal_norms = _row_norms(normals)
 
     best: tuple[float, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -196,12 +197,7 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
         dists = _row_norms(points[feasible] - xv).tolist()
         dist, active, i = min(zip(dists, [actives[i] for i in feasible], feasible))
         if best is None or (dist, active) < best[:2]:
-            is_eq = kept[i] < ne
-            lam_full = np.zeros(m)
-            lam_full[kept[i][~is_eq] - ne] = np.maximum(beta[i][~is_eq], 0.0)
-            beta_full = np.zeros(ne)
-            beta_full[kept[i][is_eq]] = beta[i][is_eq]
-            best = (dist, active, points[i].copy(), lam_full, beta_full)
+            best = (dist, active, points[i].copy(), kept[i], beta[i])
 
     def walk(actives: list, lasts: np.ndarray, kept: np.ndarray, state: tuple, depth: int):
         # children of a group of active sets that keep the same rows count:
@@ -254,6 +250,12 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
     if best is None:
         raise EmptySet("empty intersection")
 
-    _, _, point, lam_full, beta_full = best
+    _, _, point, kept, beta = best
+    beta = np.array([_ldexp(b, rows[j]._k) for j, b in zip(kept.tolist(), beta.tolist())])
+    is_eq = kept < ne
+    lam_full = np.zeros(m)
+    lam_full[kept[~is_eq] - ne] = np.maximum(beta[~is_eq], 0.0)
+    beta_full = np.zeros(ne)
+    beta_full[kept[is_eq]] = beta[is_eq]
     certificate = kkt_check(sets, xv, point, lam_full, beta_full, tol)
     return OracleResult(point, certificate)

@@ -3,27 +3,29 @@
 A hyperplane is {x : <x,u> = eta}; a halfspace is {x : <x,u> <= eta}.
 Zero normals are legal and classified rather than rejected: the set is
 then the whole space or empty depending on the offset, and
-:func:`is_empty` tells which.  A nonzero normal whose squared norm
-underflows below the smallest normal float is rejected with ZeroNormal,
-so "zero normal" means the same to every projector and no projector
-divides by a subnormal |u|^2.
+:func:`is_empty` tells which.
 
-Each set computes three invariants of its normal once, when it is
-built: ``norm_sq`` (the float ``u.dot(u)``), ``norm`` (its square root,
-bit for bit ``np.linalg.norm(u)``) and ``has_zero_normal`` (exactly
-``norm_sq == 0.0``, since a nonzero normal with a smaller square is
-rejected).  They cannot go stale: the set is frozen, ``u`` is a
-read-only private copy, and ``dataclasses.replace`` builds a new set
-that computes them again.  The projectors read them instead of
-recomputing them on every call.
+One scale rule: a set built from (u, eta) also keeps the exact image
+``_u = ldexp(u, k)``, ``_eta = ldexp(eta, k)`` with ``k = -frexp(max
+|u_i|)[1]`` (``_k``), so that ``max |_u_i|`` is in [0.5, 1) and its
+``_norm_sq`` and ``_norm`` neither overflow nor underflow; an offset
+whose image overflows is a ValueError.  The projector formulas are
+homogeneous in (u, eta), so the projectors read only these and give the
+caller's-scale points bit for bit wherever that scale stays in range; a
+multiplier maps back as ``ldexp(multiplier, k)``.  ``u``, ``eta``,
+``norm_sq`` (``u.dot(u)``, inf past the float range), ``norm`` and
+``has_zero_normal`` are in the caller's scale.  None can go stale: the
+set is frozen, ``u`` is a read-only private copy, and
+``dataclasses.replace`` builds a new set.
 
 Membership is tolerance-based.  A point sits on the boundary when
 
     |<x,u> - eta|  <=  tol * (1 + |eta| + |u| |x|)
 
-which keeps the test meaningful across scales.  :func:`membership_bound`
-is its one copy, for one point or a block of rows: :func:`contains` reads
-it at ``MEMBERSHIP_TOL``, ``atomic.step`` at ``BOUNDARY_TOL``.
+read on the prescaled (u, eta), so that it does not change when a set is
+scaled by a power of two.  :func:`membership_bound` is its one copy, for
+one point or a block of rows: :func:`contains` reads it at
+``MEMBERSHIP_TOL``, ``atomic.step`` at ``BOUNDARY_TOL``.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroNormal
-from .linalg import _norm, _scan_rows, as_vector
+from .errors import DimensionMismatch
+from .linalg import _ldexp, _norm, _scan_rows, as_vector
 
 MEMBERSHIP_TOL = 1e-9
-
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,29 @@ class _LinearSet:
     norm_sq: float = field(init=False, repr=False, compare=False)
     norm: float = field(init=False, repr=False, compare=False)
     has_zero_normal: bool = field(init=False, repr=False, compare=False)
+    _k: int = field(init=False, repr=False, compare=False)
+    _u: np.ndarray = field(init=False, repr=False, compare=False)
+    _eta: float = field(init=False, repr=False, compare=False)
+    _norm_sq: float = field(init=False, repr=False, compare=False)
+    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = as_vector(self.u).copy()
-        norm_sq = float(u.dot(u))
-        if norm_sq < _TINY and u.any():
-            raise ZeroNormal("normal is nonzero but its squared norm underflows")
         u.setflags(write=False)
-        object.__setattr__(self, "u", u)
         eta = float(self.eta)
         if not math.isfinite(eta):
             raise ValueError("offset must be finite")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "norm_sq", norm_sq)
-        object.__setattr__(self, "norm", math.sqrt(norm_sq))
-        object.__setattr__(self, "has_zero_normal", norm_sq == 0.0)
+        k = -math.frexp(max(map(abs, u.tolist())))[1]  # 0 for a zero normal
+        u_hat, eta_hat = (np.ldexp(u, k), _ldexp(eta, k)) if k else (u, eta)
+        if math.isinf(eta_hat):
+            raise ValueError("offset is out of range for the scale of its normal")
+        norm_sq = float(u_hat.dot(u_hat))
+        norm = math.sqrt(norm_sq)
+        vars(self).update(  # frozen: the fields are written past __setattr__
+            u=u, eta=eta, norm_sq=_ldexp(norm_sq, -2 * k), norm=_ldexp(norm, -k),
+            has_zero_normal=norm_sq == 0.0,
+            _k=k, _u=u_hat, _eta=eta_hat, _norm_sq=norm_sq, _norm=norm,
+        )
 
     @property
     def dim(self) -> int:
@@ -137,8 +145,8 @@ def contains(s: LinearSet, x) -> Membership:
     OnPlane / Off.
     """
     xv = checked_point((s,), x)
-    value = float(np.dot(xv, s.u)) - s.eta
-    bound = membership_bound(s.eta, s.norm, _norm(xv), MEMBERSHIP_TOL)
+    value = float(np.dot(xv, s._u)) - s._eta
+    bound = membership_bound(s._eta, s._norm, _norm(xv), MEMBERSHIP_TOL)
     if isinstance(s, Hyperplane):
         return Membership.ON_PLANE if abs(value) <= bound else Membership.OFF
     if abs(value) <= bound:
@@ -175,8 +183,8 @@ def reduce_hyperplane_system(planes: Sequence[Hyperplane]) -> ReducedHyperplaneS
     if len(planes) == 0:
         raise ValueError("need at least one hyperplane")
     checked_point(planes, getattr(planes[0], "u", None))  # all sets, of one dimension
-    normals = np.array([p.u for p in planes])
-    offsets = np.array([p.eta for p in planes])
+    normals = np.array([p._u for p in planes])
+    offsets = np.array([p._eta for p in planes])
     kept, _, consistent = _scan_rows(normals, offsets)
     status = Feasibility.FEASIBLE if consistent else Feasibility.INFEASIBLE
     return ReducedHyperplaneSystem(tuple(planes[i] for i in kept), status, kept)

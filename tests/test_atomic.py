@@ -262,14 +262,16 @@ class TestProjectRows:
         assert out.tobytes() == expected.tobytes()
 
     def test_violation_equal_to_the_bound_stays(self):
-        # value == BOUNDARY_TOL * (1 + |eta| + |u| |x|) exactly: the
-        # per-point projector snaps (value <= bound), so the row stays too
+        # value == BOUNDARY_TOL * (1 + |eta| + |u| |x|) exactly, on the
+        # prescaled set, which is u = 0.5 itself: the per-point projector
+        # snaps (value <= bound), so the row stays too
         a = 1e-12
         for _ in range(5):
             a = BOUNDARY_TOL * (1.0 + a)
-        w = Halfspace([1.0], 0.0)
-        assert a == BOUNDARY_TOL * (1.0 + 0.0 + 1.0 * a)
-        x = np.array([[a]])
+        w = Halfspace([0.5], 0.0)
+        x = np.array([[2.0 * a]])
+        assert (w._k, w._norm) == (0, 0.5)
+        assert 0.5 * x[0, 0] == a == BOUNDARY_TOL * (1.0 + 0.0 + 0.5 * x[0, 0])
         assert project_rows(SetBlock([w]), x).tobytes() == x.tobytes()
         assert project_onto(w, x[0]).tobytes() == x[0].tobytes()
 

@@ -131,14 +131,16 @@ class TestProject:
         assert results["closed_form"]["multipliers"] == results["oracle"]["multipliers"] == [1.0]
         assert results["closed_form"]["certificate"]["valid"] is True
 
-    def test_underflowing_normal_rejected(self, tmp_path, capsys):
-        # |u|^2 of a nonzero u underflows to 0: a typed input error, exit 1
+    def test_underflowing_normal_projects(self, tmp_path, capsys):
+        # |u|^2 of a nonzero u underflows to 0 in the caller's scale, not on
+        # the prescaled set: x_1 <= -1 and x_2 <= 0 meet at (-1, 0), where
+        # the first multiplier is 1e200
         path = self._write_instance(
             tmp_path,
             {
                 "dim": 2,
                 "sets": [
-                    {"kind": "halfspace", "u": [1e-200, 0.0], "eta": -1.0},
+                    {"kind": "halfspace", "u": [1e-200, 0.0], "eta": -1e-200},
                     {"kind": "halfspace", "u": [0.0, 1.0], "eta": 0.0},
                 ],
                 "points": [[0.0, 1.0]],
@@ -146,12 +148,16 @@ class TestProject:
         )
         for method in ("closed_form", "oracle", "dykstra"):
             code, out, err = run(["project", "--instance", path, "--method", method], capsys)
-            assert code == 1
-            assert out == ""
-            assert "underflows" in err
+            assert code == 0 and err == ""
+            result = json.loads(out)
+            assert math.dist(result["point"], [-1.0, 0.0]) <= 1e-12
+            if method != "dykstra":
+                assert result["certificate"]["valid"] is True
+                assert math.isclose(result["multipliers"][0], 1e200, rel_tol=1e-12)
 
-    def test_underflowing_determinant_is_an_error_line(self, tmp_path, capsys):
-        # legal normals whose 2x2 determinant underflows: a typed error, exit 1
+    def test_underflowing_determinant_projects(self, tmp_path, capsys):
+        # legal normals whose 2x2 determinant underflows in the caller's
+        # scale: certified, and within 1e-9 (1 + |x|) of the oracle's point
         for kind in ("halfspace", "hyperplane"):
             path = self._write_instance(
                 tmp_path,
@@ -164,10 +170,14 @@ class TestProject:
                     "points": [[3.0, 2.0]],
                 },
             )
-            code, out, err = run(["project", "--instance", path], capsys)
-            assert code == 1
-            assert out == ""
-            assert err.startswith("error:") and "determinant" in err
+            points = []
+            for method in ("closed_form", "oracle"):
+                code, out, err = run(["project", "--instance", path, "--method", method], capsys)
+                assert code == 0 and err == ""
+                result = json.loads(out)
+                assert result["certificate"]["valid"] is True
+                points.append(result["point"])
+            assert math.dist(*points) <= 1e-9 * (1.0 + math.hypot(3.0, 2.0))
 
     def test_oracle_multipliers_follow_the_set_order(self, tmp_path, capsys):
         out_file = tmp_path / "inst.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from polyproj import (
 )
 from polyproj.atomic import SetBlock, project_halfspace
 from polyproj.closed_form import project_pair_rows
-from polyproj.errors import DimensionMismatch, ZeroNormal
+from polyproj.errors import DimensionMismatch
 from polyproj.instances import (
     pair_of_normals,
     random_hyperplane_system,
@@ -88,8 +90,9 @@ class TestProjectHyperplanes:
             )
 
     def test_bits_of_the_per_plane_right_hand_sides(self):
-        # the right-hand sides come from one row_dots on the stacked normals;
-        # the reference takes each plane's float(np.dot(x, u)) on its own
+        # the right-hand sides come from one row_dots on the stacked,
+        # prescaled normals; the reference takes each plane's
+        # float(np.dot(x, u)) on its own, and maps each multiplier back
         rng = np.random.default_rng(24)
         checked = 0
         for trial in range(600):
@@ -103,17 +106,17 @@ class TestProjectHyperplanes:
                 planes = [Hyperplane(c * p.u, c * p.eta) for p, c in
                           zip(planes, 10.0 ** rng.uniform(-150, 150, size=len(planes)))]
             x = random_point(rng, dim, 10.0 ** rng.uniform(-3, 3))
-            offsets = np.array([p.eta for p in planes])
-            rhs = np.array([float(np.dot(x, p.u)) for p in planes]) - offsets
-            kept, (_, _, _, beta), consistent = _scan_rows(np.array([p.u for p in planes]), offsets, rhs)
+            offsets = np.array([p._eta for p in planes])
+            rhs = np.array([float(np.dot(x, p._u)) for p in planes]) - offsets
+            kept, (_, _, _, beta), consistent = _scan_rows(np.array([p._u for p in planes]), offsets, rhs)
             if not consistent:
                 with pytest.raises(EmptySet):
                     project_hyperplanes(planes, x)
                 continue
             point, coefficients = x.copy(), np.zeros(len(planes))
             for b, idx in zip(beta, kept):
-                point -= b * planes[idx].u
-                coefficients[idx] = b
+                point -= b * planes[idx]._u
+                coefficients[idx] = math.ldexp(b, planes[idx]._k)
             out = project_hyperplanes(planes, x)
             assert out.point.tobytes() == point.tobytes()
             assert out.coefficients.tobytes() == coefficients.tobytes()
@@ -822,29 +825,28 @@ class TestProjectPairRows:
                     SetBlock([good[0], first]), SetBlock([good[1], second]), np.ones((2, 2))
                 )
 
-    def test_underflowing_merged_normal_raises_zero_normal(self):
-        # |u|^2 of each normal is a normal float; |n2 u1|^2 underflows
-        w1, w2 = Halfspace([2e-154, 0.0], 1.0), Halfspace([3e-154, 0.0], 1.0)
-        x = np.array([1.0, 1.0])
-        with pytest.raises(ZeroNormal):
-            project_halfspace_pair(w1, w2, x)
-        with pytest.raises(ZeroNormal):
-            project_pair_rows(SetBlock([w1]), SetBlock([w2]), x[None])
+    def test_underflowing_merged_normal_projects(self):
+        # |u|^2 of each normal is a normal float; |n2 u1|^2 underflows, but
+        # the merged halfspace x_1 <= 1 is prescaled like any set
+        w1, w2 = Halfspace([2e-154, 0.0], 2e-154), Halfspace([3e-154, 0.0], 6e-154)
+        x = np.array([3.0, 1.0])
+        bd = project_halfspace_pair(w1, w2, x)
+        assert bd.case == "merged_halfspace" and certify(bd, x).valid
+        np.testing.assert_allclose(bd.point, [1.0, 1.0], rtol=0, atol=1e-15)
+        assert self._check([(w1, w2, x)]) == ["merged_halfspace"]
 
-    def test_underflowing_determinant_raises_zero_normal(self):
+    def test_underflowing_determinant_projects(self):
         # |u|^2 = 1e-200 is a normal float, but |u1|^2 |u2|^2 - <u1,u2>^2
-        # underflows to 0; x lies in region C3 of the halfspace pair and
-        # in region IN_C of the plane-halfspace pair
+        # underflows to 0 in the caller's scale, not on the prescaled sets;
+        # x lies in region C3 of the halfspace pair and in region IN_C of
+        # the plane-halfspace pair, both projecting to the origin
         u1, w2 = [1e-100, 0.0], Halfspace([-0.6e-100, 0.8e-100], 0.0)
         x = np.array([3.0, 2.0])
-        for first, projector in (
-            (Halfspace(u1, 0.0), project_halfspace_pair),
-            (Hyperplane(u1, 0.0), project_hyperplane_halfspace),
-        ):
-            with pytest.raises(ZeroNormal, match="determinant"):
-                projector(first, w2, x)
-            with pytest.raises(ZeroNormal, match="determinant"):
-                project_pair_rows(SetBlock([first]), SetBlock([w2]), x[None])
+        for first, region in ((Halfspace(u1, 0.0), "C3"), (Hyperplane(u1, 0.0), "InC")):
+            bd = project_halfspace_pair(first, w2, x)
+            assert bd.region.value == region and certify(bd, x).valid
+            np.testing.assert_allclose(bd.point, [0.0, 0.0], rtol=0, atol=1e-14)
+            assert self._check([(first, w2, x)]) == [region]
 
     @pytest.mark.parametrize(
         "first, second",

@@ -8,7 +8,7 @@ from polyproj import (
     project_halfspace_pair,
     project_hyperplane_halfspace,
 )
-from polyproj.instances import halfspace_pair, hyperplane_halfspace, pair_of_normals
+from polyproj.instances import generate_instance, halfspace_pair, hyperplane_halfspace, pair_of_normals
 
 FLAVORS = ("dependent_positive", "dependent_negative", "orthogonal", "negative", "positive")
 
@@ -35,6 +35,27 @@ class TestPairOfNormals:
             for flavor in ("orthogonal", "negative", "positive"):
                 u1, u2 = pair_of_normals(rng, dim, flavor)
                 assert not classify_pair(u1, u2).linearly_dependent
+
+    def test_independent_flavors_need_two_dimensions(self):
+        # in one dimension every pair is dependent: these flavours would
+        # redraw forever, so they raise; the dependent ones still draw
+        rng = np.random.default_rng(84)
+        for flavor in ("orthogonal", "negative", "positive"):
+            with pytest.raises(ValueError, match="dim >= 2"):
+                pair_of_normals(rng, 1, flavor)
+        for flavor in ("dependent_positive", "dependent_negative"):
+            assert classify_pair(*pair_of_normals(rng, 1, flavor)).linearly_dependent
+        outcomes = set()
+        for seed in range(40):
+            for kind in ("pair_halfspace", "hyperplane_halfspace"):
+                try:
+                    sets = generate_instance(seed, 1, kind).sets
+                except ValueError:
+                    outcomes.add("raised")
+                else:
+                    assert classify_pair(sets[0].u, sets[1].u).linearly_dependent
+                    outcomes.add("dependent")
+        assert outcomes == {"raised", "dependent"}
 
 
 class TestPairBuilders:

@@ -24,7 +24,7 @@ from polyproj import (
     verify_bam,
 )
 from polyproj.instances import pair_of_normals, random_offset, random_point
-from polyproj.cli import write_csv
+from polyproj.cli import canonical_json, write_csv
 
 from helpers import (
     ld_pair_case,
@@ -472,10 +472,10 @@ class TestTraceExport:
             for row in rows:
                 cells = []
                 for value in row:
-                    if isinstance(value, bool):
+                    if isinstance(value, (bool, np.bool_)):
                         cells.append("true" if value else "false")
-                    elif isinstance(value, float):
-                        cells.append(format(value, ".17g"))
+                    elif isinstance(value, (float, np.floating)):
+                        cells.append(format(float(value), ".17g"))
                     else:
                         cells.append(str(value))
                 fh.write(",".join(cells) + "\n")
@@ -507,6 +507,14 @@ class TestTraceExport:
             write_csv(got, header, rows)
             self._reference_csv(want, header, rows)
             assert got.read_bytes() == want.read_bytes()
+
+    def test_csv_cells_are_canonical_json_scalars(self, tmp_path):
+        # one scalar format: a CSV cell is what canonical_json writes for it
+        cells = [np.True_, np.False_, np.float32(0.1), np.float16(-0.5), np.int8(-3), None, 0.1, True]
+        out = tmp_path / "rows.csv"
+        write_csv(out, ["c"], [[c] for c in cells])
+        assert out.read_text().splitlines()[1:] == [canonical_json(c) for c in cells]
+        assert out.read_text().splitlines()[1:4] == ["true", "false", "0.10000000149011612"]
 
     def test_csv_bytes(self, tmp_path):
         # 17 significant digits, true/false, numpy numbers like their python kin

@@ -15,6 +15,7 @@ from polyproj import (
     classify_pair,
     inner,
     max_independent_subset,
+    project_hyperplanes,
     solve_gram,
 )
 from polyproj.atomic import SetBlock
@@ -25,6 +26,7 @@ from polyproj.linalg import (
     _consistent,
     _extend_bases,
     _norm,
+    _prescaled,
     _residual,
     _row_norms,
     _scan_rows,
@@ -427,12 +429,15 @@ class TestScanAgainstReference:
                 seen[consistent] += 1
         assert min(seen.values()) > 0, seen
 
-    def test_residual_that_overflows_to_nan(self):
-        # <q, v> overflows, so the residual and every later one is NaN and
-        # counts as independent: the scan keeps more rows than the dimension
+    def test_prescaled_rows_never_overflow(self):
+        # in the caller's scale <q, v> overflows on the second row, and its
+        # NaN residual would count as independent; prescaled, the scan keeps
+        # two rows in two dimensions and drops the rest
         normals = np.array([[0.6, 0.8], [1e308, 1.7e308], [1.0, 2.0], [3.0, 1.0]])
-        with np.errstate(all="ignore"):
-            self.assert_same_scan(normals, np.zeros(4), np.ones(4))
+        kept, _ = self.assert_same_scan(_prescaled(normals)[0], np.zeros(4), np.ones(4))
+        assert kept == max_independent_subset(normals).indices == (0, 1)
+        point = project_hyperplanes([Hyperplane(u, 0.0) for u in normals], [1.0, 2.0]).point
+        np.testing.assert_allclose(point, [0.0, 0.0], rtol=0, atol=1e-14)
 
 
 class TestOverflowSafeNorms:

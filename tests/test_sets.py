@@ -27,7 +27,6 @@ from polyproj import (
     reduce_hyperplane_system,
 )
 from polyproj.atomic import SetBlock, project_onto
-from polyproj.errors import ZeroNormal
 from polyproj.instances import random_hyperplane_system
 from polyproj.sets import checked_point
 
@@ -127,18 +126,19 @@ class TestDegenerateClassification:
     def test_halfspace_zero_normal(self):
         assert is_empty(Halfspace([0, 0], -0.5))
 
-    def test_underflowing_normal_rejected(self):
-        # (1e-200)^2 underflows to 0 and (1e-155)^2 to a subnormal, so no
-        # projector can divide by |u|^2; an exact zero normal is still
-        # classified, and 1e-150 still squares to a normal number
-        for tiny in (1e-200, 1e-155):
+    def test_tiny_normals_are_legal(self):
+        # (1e-200)^2 underflows to 0, (1e-155)^2 to a subnormal, and 5e-324
+        # is the smallest subnormal: each set is prescaled by a power of
+        # two, so it projects; only an exact zero normal is a zero normal
+        for tiny in (1e-200, 1e-155, 5e-324):
             for kind in (Halfspace, Hyperplane):
-                with pytest.raises(ZeroNormal):
-                    kind([tiny, 0.0], -1.0)
-            with pytest.raises(ZeroNormal):
-                project_halfspace(Halfspace([tiny, 0], -1), [0, 1])
-            with pytest.raises(ZeroNormal):
-                project_halfspace_pair(Halfspace([tiny, 0], -1), Halfspace([0, 1], 0), [0, 1])
+                s = kind([tiny, 0.0], -tiny)
+                assert not s.has_zero_normal and 0.5 <= s._u[0] < 1.0 and s._eta == -s._u[0]
+            w = Halfspace([tiny, 0], -tiny)  # x_1 <= -1
+            np.testing.assert_allclose(project_halfspace(w, [0, 1]), [-1.0, 1.0], rtol=0, atol=1e-15)
+            bd = project_halfspace_pair(w, Halfspace([0, 1], 0), [0, 1])
+            np.testing.assert_allclose(bd.point, [-1.0, 0.0], rtol=0, atol=1e-15)
+            assert bd.region.value == "C3"
         for kind in (Halfspace, Hyperplane):
             assert kind([0.0, 0.0], 0.0).has_zero_normal
             assert not kind([1e-150, 0.0], -1.0).has_zero_normal
@@ -189,8 +189,8 @@ class TestCachedInvariants:
             self._assert_cached(moved)
             assert moved.has_zero_normal and moved.norm == 0.0
             self._assert_cached(dataclasses.replace(moved, u=[1e-150, 2.0, -2.0]))
-            with pytest.raises(ZeroNormal):
-                dataclasses.replace(s, u=[1e-200, 0.0])
+            tiny = dataclasses.replace(s, u=[1e-200, 0.0])
+            assert not tiny.has_zero_normal and tiny.norm == 1e-200 and 0.5 <= tiny._norm < 1.0
             assert (s.norm_sq, s.norm, s.has_zero_normal) == (25.0, 5.0, False)
 
 
