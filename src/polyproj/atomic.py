@@ -4,8 +4,7 @@ Every path onto one set takes one step, :func:`step`, along the normal:
 
     P_H x = x + (eta - <x,u>) / |u|^2 * u
 
-on the set's prescaled (u, eta) (see :mod:`polyproj.sets`), and a
-halfspace takes it only when the point is strictly outside.
+on the prescaled set, and a halfspace takes it only when strictly outside.
 Points within ``sets.membership_bound`` at ``BOUNDARY_TOL`` are returned
 unchanged (both branches agree on the boundary, so snapping avoids a
 needless perturbation).
@@ -54,10 +53,9 @@ BOUNDARY_TOL = 1e-12
 def step(s: LinearSet, xv: np.ndarray) -> tuple[np.ndarray, float]:
     """Step a checked point onto a nonempty hyperplane or halfspace; returns (point, multiplier).
 
-    With ``gap = eta - <x,u>`` on the prescaled (u, eta), the point moves
-    to ``x + gap / |u|^2 * u``, with multiplier ``-gap / |u|^2`` mapped
-    back to the caller's scale, when the set is a hyperplane with a
-    nonzero normal or when ``-gap`` is above ``membership_bound`` at
+    With ``gap = eta - <x,u>`` on the prescaled set, the point moves to
+    ``x + gap / |u|^2 * u``, with multiplier ``-gap / |u|^2`` in the
+    caller's scale, when the set is a hyperplane with a nonzero normal or when ``-gap`` is above ``membership_bound`` at
     ``BOUNDARY_TOL``; otherwise it comes back unchanged with multiplier 0.
     IEEE negation is exact, so a moved halfspace point has the bits of
     ``x - (<x,u> - eta) / |u|^2 * u`` and a positive multiplier.
@@ -85,8 +83,7 @@ class SetBlock:
     """Linear sets stacked row by row for the row kernels.
 
     ``u`` (n, d), ``eta``, ``norm_sq`` and ``norm`` (n,) stack each set's
-    prescaled values (see :mod:`polyproj.sets`), and ``_k`` their
-    exponents; ``is_hyperplane`` marks the hyperplane rows and
+    prescaled values; ``is_hyperplane`` marks the hyperplane rows and
     ``always_moves`` those with a nonzero normal, the rows whose
     projection always steps.  Raises EmptySet if any set is empty and
     DimensionMismatch unless all share one dimension.  The arrays are
@@ -104,10 +101,9 @@ class SetBlock:
         self.eta = np.array([s._eta for s in sets])
         self.norm_sq = np.array([s._norm_sq for s in sets])
         self.norm = np.array([s._norm for s in sets])
-        self._k = np.array([s._k for s in sets])
         self.is_hyperplane = np.array([isinstance(s, Hyperplane) for s in sets])
         self.always_moves = self.is_hyperplane & (self.norm_sq != 0.0)
-        for arr in (self.u, self.eta, self.norm_sq, self.norm, self._k, self.is_hyperplane, self.always_moves):
+        for arr in vars(self).values():
             arr.setflags(write=False)
 
     def points(self, x) -> np.ndarray:

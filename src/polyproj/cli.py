@@ -307,14 +307,15 @@ def _experiment_exactness(rng, config, rows, counts, include_exact, include_feas
         exact = [i for i, r in enumerate(ref_rows) if r is not None]
         misses = composed[exact] - references[[ref_rows[i] for i in exact]]
         deviations = dict(zip(exact, _row_norms(misses).tolist()))
-    # one_step_feasible's violation max(<c,u1> - eta1, <c,u2> - eta2, 0.0); it
-    # is ok when no gap is above membership_bound, where contains says
-    # OUTSIDE: both on the prescaled sets, the gaps written in the caller's
+    # one_step_feasible's violation max(<c,u1> - eta1, <c,u2> - eta2, 0.0),
+    # written in the caller's scale; it is ok when no prescaled gap is above
+    # membership_bound, where contains says OUTSIDE
     blocks, norms = (first_block, second_block), _row_norms(composed)
     gaps1, gaps2 = (row_dots(composed, b.u) - b.eta for b in blocks)
     bound1, bound2 = (membership_bound(b.eta, b.norm, norms, MEMBERSHIP_TOL) for b in blocks)
     feasible = ((gaps1 <= bound1) & (gaps2 <= bound2)).tolist()
-    gaps1, gaps2 = (np.ldexp(g, -b._k).tolist() for g, b in zip((gaps1, gaps2), blocks))
+    gaps1 = np.ldexp(gaps1, [-s._k for s in firsts]).tolist()
+    gaps2 = np.ldexp(gaps2, [-s._k for s in seconds]).tolist()
     for i, (trial, family) in enumerate(zip(trials, families)):
         if i in deviations:
             dev = deviations[i]

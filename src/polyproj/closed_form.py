@@ -1,6 +1,6 @@
 """Closed-form projectors onto intersections of linear sets.
 
-Two families of intersections admit explicit formulas:
+Two families of intersections admit explicit formulas (on prescaled sets):
 
 * finitely many hyperplanes, via the one row scan (``linalg._scan_rows``)
   on an independent subfamily of the normals;
@@ -91,7 +91,6 @@ class ProjectionBreakdown:
 
 
 def _pair_terms(first: LinearSet, second: Halfspace, xv):
-    # on the prescaled sets, as every pair formula is
     u1, u2 = first._u, second._u
     a1 = float(np.dot(xv, u1)) - first._eta
     a2 = float(np.dot(xv, u2)) - second._eta
@@ -211,10 +210,11 @@ def project_halfspace_pair(first: LinearSet, second: Halfspace, x) -> Projection
     elif region is Region.C2:
         g2 = a2 / n2sq
     # x - g1 u1 keeps a -0.0 coordinate that "- 0.0 * u2" would turn into +0.0
-    point = xv - g1 * first._u if region is Region.NOT_IN_C else xv - g1 * first._u - g2 * second._u
+    u1, u2 = first._u, second._u
+    point = xv - g1 * u1 if region is Region.NOT_IN_C else xv - g1 * u1 - g2 * u2
     flag = abs(q) / (n1 * n2) > ILL_CONDITIONED_GAMMA
-    coefficients = np.array([_ldexp(g1, first._k), _ldexp(g2, second._k)])
-    return ProjectionBreakdown(point, coefficients, (first, second), region=region, ill_conditioned=flag)
+    g = np.array([_ldexp(g1, first._k), _ldexp(g2, second._k)])
+    return ProjectionBreakdown(point, g, (first, second), region=region, ill_conditioned=flag)
 
 
 project_hyperplane_halfspace = project_halfspace_pair
@@ -273,9 +273,8 @@ def project_pair_rows(first: SetBlock, second: SetBlock, x) -> np.ndarray:
     np.divide(a1, n1 * n1, out=g1, where=plane_only)
 
     # halfspace steps onto the second set, and onto the first set or, on
-    # merged rows, Halfspace(n2 * u1, min(eta1 * n2, eta2 * n1)) prescaled
-    # by its own power of two, which leaves a prescaled u1 as it is; where
-    # mu is u1, row_dots gives its |u1|^2 bit for bit
+    # merged rows, the prescaled Halfspace(n2 * u1, min(eta1 * n2, eta2 * n1));
+    # _prescaled leaves u1 as it is, and row_dots gives its |u1|^2 bit for bit
     e1, e2 = first.eta * n2, second.eta * n1
     mu = np.where(merged[:, None], n2[:, None] * u1, u1)
     mu_eta = np.where(merged, np.where(e2 < e1, e2, e1), first.eta)
@@ -359,11 +358,11 @@ def certify(bd: ProjectionBreakdown, x, tol: float = KKT_TOL) -> KktCertificate:
     beta = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Hyperplane)]
     cert = kkt_check(bd.sets, x, bd.point, lam, beta, tol)
     p = bd.point
-    # |<p,u> - eta| for hyperplanes, <p,u> - eta for halfspaces, each judged
-    # on its prescaled set, where it is ldexp(gap, k)
+    # |<p,u> - eta| for hyperplanes, <p,u> - eta for halfspaces, judged on
+    # the prescaled set, where it is ldexp(gap, k)
     gaps = [float(np.dot(p, s.u)) - s.eta for s in bd.inputs]
     gaps = [abs(g) if isinstance(s, Hyperplane) else g for s, g in zip(bd.inputs, gaps)]
-    pn = _norm(p)
-    if any(_ldexp(g, s._k) > membership_bound(s._eta, s._norm, pn, tol) for s, g in zip(bd.inputs, gaps)):
+    bounds = [membership_bound(s._eta, s._norm, _norm(p), tol) for s in bd.inputs]
+    if any(_ldexp(g, s._k) > b for s, g, b in zip(bd.inputs, gaps, bounds)):
         cert = replace(cert, feasibility_residual=max(cert.feasibility_residual, *gaps), valid=False)
     return cert

@@ -1,9 +1,9 @@
 """Inner-product primitives, one dependence tolerance, and the row step.
 
-Vectors are one-dimensional numpy arrays of finite floats.  Rows reach
-the scan prescaled by the one rule of :mod:`polyproj.sets` (one power of
-two per row, :func:`_prescaled` for raw vectors).  Linear dependence of
-a pair is decided relative to the Cauchy-Schwarz gap:
+Vectors are one-dimensional numpy arrays of finite floats, and rows are
+prescaled by the one power-of-two rule of :mod:`polyproj.sets`
+(:func:`_prescaled`).  Linear dependence is decided relative to the
+Cauchy-Schwarz gap:
 ``u1`` and ``u2`` count as dependent when
 
     |u1| |u2| - |<u1, u2>|  <=  DEPENDENCE_TOL * |u1| |u2|

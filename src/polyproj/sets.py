@@ -5,25 +5,23 @@ Zero normals are legal and classified rather than rejected: the set is
 then the whole space or empty depending on the offset, and
 :func:`is_empty` tells which.
 
-One scale rule: a set built from (u, eta) also keeps the exact image
-``_u = ldexp(u, k)``, ``_eta = ldexp(eta, k)`` with ``k = -frexp(max
-|u_i|)[1]`` (``_k``), so that ``max |_u_i|`` is in [0.5, 1) and its
-``_norm_sq`` and ``_norm`` neither overflow nor underflow; an offset
-whose image overflows is a ValueError.  The projector formulas are
-homogeneous in (u, eta), so the projectors read only these and give the
-caller's-scale points bit for bit wherever that scale stays in range; a
-multiplier maps back as ``ldexp(multiplier, k)``.  ``u``, ``eta``,
-``norm_sq`` (``u.dot(u)``, inf past the float range), ``norm`` and
-``has_zero_normal`` are in the caller's scale.  None can go stale: the
-set is frozen, ``u`` is a read-only private copy, and
+One scale rule: a set also keeps its exact image ``_u = ldexp(u, k)``,
+``_eta = ldexp(eta, k)``, with ``_k = k = -frexp(max |u_i|)[1]`` putting
+``max |_u_i|`` in [0.5, 1), and its ``_norm_sq`` and ``_norm``, which
+neither overflow nor underflow (an offset whose image is not finite is
+a ValueError).  The projector formulas are homogeneous in (u, eta), so
+the projectors read only these, give the caller's points bit for bit
+wherever the caller's scale stays in range, and map a multiplier back
+as ``ldexp(multiplier, k)``.  ``norm_sq`` (``u.dot(u)``, inf past the
+float range), ``norm`` and ``has_zero_normal`` are the caller's.
+Nothing can go stale: sets are frozen, ``u`` is a read-only copy, and
 ``dataclasses.replace`` builds a new set.
 
 Membership is tolerance-based.  A point sits on the boundary when
 
     |<x,u> - eta|  <=  tol * (1 + |eta| + |u| |x|)
 
-read on the prescaled (u, eta), so that it does not change when a set is
-scaled by a power of two.  :func:`membership_bound` is its one copy, for
+read on the prescaled set.  :func:`membership_bound` is its one copy, for
 one point or a block of rows: :func:`contains` reads it at
 ``MEMBERSHIP_TOL``, ``atomic.step`` at ``BOUNDARY_TOL``.
 """
@@ -51,22 +49,15 @@ class _LinearSet:
     norm_sq: float = field(init=False, repr=False, compare=False)
     norm: float = field(init=False, repr=False, compare=False)
     has_zero_normal: bool = field(init=False, repr=False, compare=False)
-    _k: int = field(init=False, repr=False, compare=False)
-    _u: np.ndarray = field(init=False, repr=False, compare=False)
-    _eta: float = field(init=False, repr=False, compare=False)
-    _norm_sq: float = field(init=False, repr=False, compare=False)
-    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = as_vector(self.u).copy()
         u.setflags(write=False)
         eta = float(self.eta)
-        if not math.isfinite(eta):
-            raise ValueError("offset must be finite")
         k = -math.frexp(max(map(abs, u.tolist())))[1]  # 0 for a zero normal
         u_hat, eta_hat = (np.ldexp(u, k), _ldexp(eta, k)) if k else (u, eta)
-        if math.isinf(eta_hat):
-            raise ValueError("offset is out of range for the scale of its normal")
+        if not math.isfinite(eta_hat):
+            raise ValueError("offset must be finite, also on the scale of its normal")
         norm_sq = float(u_hat.dot(u_hat))
         norm = math.sqrt(norm_sq)
         vars(self).update(  # frozen: the fields are written past __setattr__
