@@ -80,11 +80,11 @@ def canonical_json(obj) -> str:
 def write_csv(path, header, rows) -> None:
     """Write comma-separated rows, one per line, with LF line ends.
 
-    A string cell is written as it is, any other as :func:`canonical_json`
-    writes it.  Each row shape (the types of its cells) gets one ``%``
-    template: ``"%.17g" % v`` is ``format(v, ".17g")`` for a float, and
-    ``"%d"`` is ``str`` for an int; a cell of any other type (bool, numpy
-    scalars, subclasses) goes through :func:`_csv_cell`.
+    A ``str`` cell is written as it is and any other as
+    :func:`canonical_json` writes it.  Each row shape (the types of its
+    cells) gets one ``%`` template: ``"%.17g" % v`` is ``format(v,
+    ".17g")`` for a float and ``"%d"`` is ``str`` for an int; a cell of any
+    other type (bool, numpy scalars, subclasses) is converted first.
     """
     lines = [",".join(header)]
     templates = {}
@@ -97,17 +97,13 @@ def write_csv(path, header, rows) -> None:
         if others:
             row = list(row)
             for i in others:
-                row[i] = _csv_cell(row[i])
+                row[i] = canonical_json(row[i])
         lines.append(template % tuple(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 _CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
-
-
-def _csv_cell(value) -> str:
-    return value if isinstance(value, str) else canonical_json(value)
 
 
 def _certificate_dict(cert: KktCertificate) -> dict:
