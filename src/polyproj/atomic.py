@@ -55,8 +55,9 @@ def step(s: LinearSet, xv: np.ndarray) -> tuple[np.ndarray, float]:
 
     With ``gap = eta - <x,u>`` on the prescaled set, the point moves to
     ``x + gap / |u|^2 * u``, with multiplier ``-gap / |u|^2`` in the
-    caller's scale, when the set is a hyperplane with a nonzero normal or when ``-gap`` is above ``membership_bound`` at
-    ``BOUNDARY_TOL``; otherwise it comes back unchanged with multiplier 0.
+    caller's scale, when the set is a hyperplane with a nonzero normal or
+    ``-gap`` is above ``membership_bound`` at ``BOUNDARY_TOL``; otherwise
+    it comes back unchanged with multiplier 0.
     IEEE negation is exact, so a moved halfspace point has the bits of
     ``x - (<x,u> - eta) / |u|^2 * u`` and a positive multiplier.
     """

@@ -151,10 +151,13 @@ def _dependent_pair(first: LinearSet, second: Halfspace, xv, a1, q) -> Projectio
         return ProjectionBreakdown(point, np.array([t, 0.0]), sets, case="first_set_only")
     if not plane and q > 0.0:
         # The intersection is a single halfspace whose normal merges the
-        # pair, in the caller's scale; the lone multiplier refers to it.
-        n1, n2 = first.norm, second.norm
-        merged = Halfspace(n2 * first.u, min(first.eta * n2, second.eta * n1))
-        point, t = step(merged, xv)
+        # pair.  The step takes it from the prescaled sets, 2^(k1 + k2)
+        # times the merged halfspace in the caller's scale, which the lone
+        # multiplier refers to.
+        point, t = step(Halfspace(n2 * first._u, min(first._eta * n2, second._eta * n1)), xv)
+        c1, c2 = first.norm, second.norm
+        merged = Halfspace(c2 * first.u, min(first.eta * c2, second.eta * c1))
+        t = _ldexp(t, first._k + second._k)
         return ProjectionBreakdown(
             point, np.array([t]), (merged,), case="merged_halfspace", inputs=sets
         )

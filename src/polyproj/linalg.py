@@ -87,7 +87,7 @@ def _ldexp(v: float, k: int) -> float:
 
 
 def _prescaled(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, k): each row of ``block`` times ``2**k``, the power that puts its largest entry in [0.5, 1)."""
+    """(rows, k): row i of ``block`` times ``2**k[i]``, putting its largest entry in [0.5, 1)."""
     k = -np.frexp(np.abs(block).max(axis=1))[1]
     return np.ldexp(block, k[:, None]), k
 

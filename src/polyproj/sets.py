@@ -6,10 +6,10 @@ then the whole space or empty depending on the offset, and
 :func:`is_empty` tells which.
 
 One scale rule: a set also keeps its exact image ``_u = ldexp(u, k)``,
-``_eta = ldexp(eta, k)``, with ``_k = k = -frexp(max |u_i|)[1]`` putting
-``max |_u_i|`` in [0.5, 1), and its ``_norm_sq`` and ``_norm``, which
-neither overflow nor underflow (an offset whose image is not finite is
-a ValueError).  The projector formulas are homogeneous in (u, eta), so
+``_eta = ldexp(eta, k)``, with ``k = -frexp(max |u_i|)[1]`` (``_k``)
+putting ``max |_u_i|`` in [0.5, 1), and its ``_norm_sq`` and ``_norm``,
+which neither overflow nor underflow (an offset whose image is not
+finite is a ValueError).  The projector formulas are homogeneous in (u, eta), so
 the projectors read only these, give the caller's points bit for bit
 wherever the caller's scale stays in range, and map a multiplier back
 as ``ldexp(multiplier, k)``.  ``norm_sq`` (``u.dot(u)``, inf past the

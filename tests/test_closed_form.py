@@ -763,6 +763,25 @@ class TestProjectPairRows:
         expected = _ALL_PAIR_TAGS - {"InsideBoth", "C1", "C2", "C3", "InC", "NotInC"} if dim == 1 else _ALL_PAIR_TAGS
         assert seen == expected
 
+    def test_normals_whose_squares_leave_the_float_range(self):
+        # the rows above with the sets scaled by 2^531 (|u| ~ 1e160, so |u|^2
+        # overflows) or 2^-531 (|u|^2 underflows); every row is drawn before
+        # any is projected.  Both sets at 2^531 are left out: there the
+        # merged halfspace in the caller's scale, n2 u1, overflows, and the
+        # scalar projector raises ValueError where the row kernel projects
+        rng = np.random.default_rng(160)
+        rows = []
+        for i in range(1200):
+            first, second, x = _random_pair_row(rng, 2 + i // 25 % 4)  # one dim per block
+            j1, j2 = ((531, -531), (-531, 531), (-531, -531))[i % 3]
+            first = type(first)(np.ldexp(first.u, j1), math.ldexp(first.eta, j1))
+            second = Halfspace(np.ldexp(second.u, j2), math.ldexp(second.eta, j2))
+            rows.append((first, second, x))
+        seen = set()
+        for start in range(0, len(rows), 25):
+            seen.update(self._check(rows[start : start + 25]))
+        assert seen == _ALL_PAIR_TAGS
+
     def test_region_ties_fall_to_the_earlier_branch(self):
         u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         rows = [
