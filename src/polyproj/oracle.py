@@ -13,21 +13,21 @@ reduction are a visited subset, reduced to the same rows.  The
 enumeration is exponential by design; it exists to check the
 closed-form projectors, not to replace them.
 
-Every row is a prescaled set (:mod:`polyproj.sets`).  The hyperplanes
-are scanned once by ``linalg._scan_rows``.  When x projected onto the
-kept rows is x itself (distance 0) and feasible, it is the projection
-and nothing more is visited; otherwise the subsets are walked one level
-at a time, in groups of at most ``GRAM_STACK``.  Each active set carries
-the state of its kept rows down the walk: their orthonormal basis, the
-rows W with W Aᵀ = I, the displacement and the multipliers.  A group's
-children, one boundary larger, extend their parents' bases in one
-stacked Gram-Schmidt step (``linalg._extend_bases``); those that grew
-take one stacked bordered step (``linalg._border``) for their
-multipliers, and their candidates are checked before they are walked.  A
-dependent boundary keeps its parent's state when ``linalg._consistent``
-accepts its offset, and otherwise ends its branch.  Every step is
-elementwise, a per-row dot or a per-item ``gemv``, so the results are
-bit for bit those of scanning each subset's rows on their own.
+The hyperplanes are scanned once by ``linalg._scan_rows``.  When x
+projected onto the kept rows is x itself (distance 0) and feasible, it
+is the projection and nothing more is visited; otherwise the subsets
+are walked one level at a time, in groups of at most ``GRAM_STACK``.
+Each active set carries the state of its kept rows down the walk: their
+orthonormal basis, the rows W with W Aᵀ = I, the displacement and the
+multipliers.  A group's children, one boundary larger, extend their
+parents' bases in one stacked Gram-Schmidt step
+(``linalg._extend_bases``); those that grew take one stacked bordered
+step (``linalg._border``) for their multipliers, and their candidates
+are checked before they are walked.  A dependent boundary keeps its
+parent's state when ``linalg._consistent`` accepts its offset, and
+otherwise ends its branch.  Every step is elementwise, a per-row dot or
+a per-item ``gemv``, so the results are bit for bit those of scanning
+each subset's rows on their own.  Every row is a prescaled set.
 
 :func:`kkt_check` evaluates the first-order optimality residuals of a
 proposed projection: stationarity of the quadratic objective, primal
