@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def _load_config(path) -> ExperimentConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-    keys = ("seed", "dim", "trials", "case_filter", "k_max")
+    keys = [f.name for f in fields(ExperimentConfig)]
     for key in raw:
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}; experiment configs accept {', '.join(keys)}")

@@ -349,13 +349,12 @@ def certify(bd: ProjectionBreakdown, x, tol: float = KKT_TOL) -> KktCertificate:
     """KKT certificate of a breakdown against the sets its multipliers refer to.
 
     The point must also lie in every input set within ``membership_bound``
-    at ``tol``.  A merged pair is certified against its merged halfspace,
-    which a near-dependent pair only approximates; a violation of an
-    input set makes the certificate invalid and raises
-    ``feasibility_residual`` to the worst violation.  For every other
-    breakdown the input sets are the certified sets, whose violations
-    beyond ``tol`` already fail the certificate, so the check changes
-    nothing there.
+    at ``tol``, read on the prescaled set.  This is the one check of that
+    relative bound, as ``kkt_check`` reads raw gaps: a halfspace with
+    |u| = 1e-20 passes there far outside it.  A merged pair is certified
+    against its merged halfspace, which a near-dependent pair only
+    approximates.  A violation of an input set makes the certificate
+    invalid and raises ``feasibility_residual`` to the worst violation.
     """
     lam = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Halfspace)]
     beta = [c for c, s in zip(bd.coefficients, bd.sets) if isinstance(s, Hyperplane)]

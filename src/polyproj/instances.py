@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closed_form import _contradicts
 from .linalg import _norm
 from .sets import Halfspace, Hyperplane, Instance
 
@@ -97,18 +98,15 @@ def _mixed_flavor(rng: np.random.Generator) -> str:
 def _nonempty_offsets(rng: np.random.Generator, u1, u2, flavor: str, plane_first: bool):
     """Draw (eta1, eta2), redrawing both while the pair's intersection is empty.
 
-    Only dependent normals can give an empty pair, exactly when
-    sign * eta1 * |u2| > eta2 * |u1| with sign the sign of <u1, u2>.
-    For opposed normals that reads eta1 * |u2| + eta2 * |u1| < 0; aligned
-    normals are empty only when the first set is a hyperplane.
+    Only dependent normals can give an empty pair: opposed normals, or
+    aligned ones when the first set is a hyperplane, decided by the
+    projectors' one emptiness rule (``closed_form._contradicts``).
     """
     eta1 = random_offset(rng)
     eta2 = random_offset(rng)
     if flavor == "dependent_negative" or (plane_first and flavor == "dependent_positive"):
-        n1 = _norm(u1)
-        n2 = _norm(u2)
-        sign = 1.0 if flavor == "dependent_positive" else -1.0
-        while sign * eta1 * n2 > eta2 * n1:
+        q, n1, n2 = float(np.dot(u1, u2)), _norm(u1), _norm(u2)
+        while _contradicts(q, eta1, eta2, n1, n2):
             eta1 = random_offset(rng)
             eta2 = random_offset(rng)
     return eta1, eta2

@@ -14,10 +14,11 @@ row when its residual against the kept rows (:func:`_residual`)
 exceeds the same constant times its norm; a kept row updates the
 multipliers by one bordered step, with no Gram matrix and no LAPACK
 call.  The scan borders in place on buffers it allocates once
-(:func:`_border_row`); the oracle's stacked walk grows its stacks with
-:func:`_extend_bases` and :func:`_border`, which give each item the
-bits of the scan's one-row step.  No function takes a tolerance
-override.
+(:func:`_border_row`) and checks a dropped row's offset with the one
+rule :func:`_consistent`; the oracle's stacked walk grows its stacks
+with :func:`_extend_bases` and :func:`_border`, which give each item
+the bits of the scan's one-row step, and drops a dependent row without
+an offset check.  No function takes a tolerance override.
 """
 
 from __future__ import annotations
@@ -297,22 +298,17 @@ def _border_row(
     p -= s * q
 
 
-def _consistent(w: np.ndarray, v: np.ndarray, kept_offsets: np.ndarray, offset):
+def _consistent(w: np.ndarray, v: np.ndarray, kept_offsets: np.ndarray, offset: float) -> bool:
     """Whether a row ``v`` that depends on rows A, whose W is ``w``, has a matching offset.
 
     A's rows combine to v by c = W v (:func:`_border`), so the offset
     must be <c, kept_offsets> within ``DEPENDENCE_TOL * (1 + |offset|)``,
-    or exactly zero for a zero normal.  Stacks as in :func:`_border`; one
-    row, with a float ``offset``, is decided on floats.
+    or exactly zero for a zero normal.  Decided on floats.
     """
-    if v.ndim == 1:
-        if not v.any():
-            return offset == 0.0
-        implied = float(row_dots(w.dot(v), kept_offsets))
-        return not abs(offset - implied) > DEPENDENCE_TOL * (1.0 + abs(offset))
-    implied = row_dots((w @ v[..., None])[..., 0], kept_offsets)
-    fits = ~(np.abs(offset - implied) > DEPENDENCE_TOL * (1.0 + np.abs(offset)))
-    return np.where(v.any(axis=-1), fits, offset == 0.0)
+    if not v.any():
+        return offset == 0.0
+    implied = float(row_dots(w.dot(v), kept_offsets))
+    return not abs(offset - implied) > DEPENDENCE_TOL * (1.0 + abs(offset))
 
 
 def _scan_rows(normals: np.ndarray, offsets: np.ndarray | None = None, rhs: np.ndarray | None = None):

@@ -23,11 +23,13 @@ multipliers.  A group's children, one boundary larger, extend their
 parents' bases in one stacked Gram-Schmidt step
 (``linalg._extend_bases``); those that grew take one stacked bordered
 step (``linalg._border``) for their multipliers, and their candidates
-are checked before they are walked.  A dependent boundary keeps its
-parent's state when ``linalg._consistent`` accepts its offset, and
-otherwise ends its branch.  Every step is elementwise, a per-row dot or
-a per-item ``gemv``, so the results are bit for bit those of scanning
-each subset's rows on their own.  Every row is a prescaled set.
+are checked before they are walked.  A boundary dependent on its
+parent's kept rows ends its branch, whatever its offset: a superset
+S + {b} + T scans to the kept rows of S + T, in the same order, so it
+rebuilds a candidate the walk visits (KKT multipliers always reduce to
+ones on independent normals).  Every step is elementwise, a per-row dot
+or a per-item ``gemv``, so the results are bit for bit those of
+scanning each subset's rows on their own.  Every row is a prescaled set.
 
 :func:`kkt_check` evaluates the first-order optimality residuals of a
 proposed projection: stationarity of the quadratic objective, primal
@@ -42,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, TooManyConstraints
-from .linalg import _border, _consistent, _extend_bases, _ldexp, _norm, _row_norms, _scan_rows
+from .linalg import _border, _extend_bases, _ldexp, _norm, _row_norms, _scan_rows
 from .linalg import as_vector, row_dots
 from .sets import Halfspace, Hyperplane, LinearSet, checked_point, is_empty, membership_bound
 
@@ -150,14 +152,14 @@ class OracleResult(NamedTuple):
 def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> OracleResult:
     """Brute-force projection onto an intersection of linear sets.
 
-    Enumerates the subsets of at most ``d - rank(E)`` inequalities as
-    candidate active sets (a larger one reduces to a visited subset with
-    the same candidate); keeps candidates that are feasible for every
-    constraint and whose active multipliers are nonnegative (within
-    ``tol``); returns the minimum-distance candidate, breaking distance
-    ties toward the lexicographically smallest active set.  Raises
-    EmptySet when no subset yields a feasible point, which for affine
-    constraints certifies an empty intersection.
+    Enumerates the subsets of at most ``d - rank(E)`` inequalities with
+    independent boundaries as candidate active sets (any other reduces to
+    a visited subset with the same candidate); keeps candidates that are
+    feasible for every constraint and whose active multipliers are
+    nonnegative (within ``tol``); returns the minimum-distance candidate,
+    breaking distance ties toward the lexicographically smallest active
+    set.  Raises EmptySet when no subset yields a feasible point, which
+    for affine constraints certifies an empty intersection.
     """
     xv = checked_point(sets, x)
     if any(is_empty(s) for s in sets):
@@ -206,31 +208,20 @@ def oracle_project(sets: Sequence[LinearSet], x, tol: float = KKT_TOL) -> Oracle
             par, i = parent[start : start + GRAM_STACK], child[start : start + GRAM_STACK]
             q, v = state[0][par], normals[ne + i]
             dependent, units = _extend_bases(q, v)
-            children = [actives[a] + (b,) for a, b in zip(par.tolist(), i.tolist())]
-            grew = np.flatnonzero(~dependent)
-            if len(grew) == len(par):
-                grew, grown = slice(None), children  # all grew: a slice copies nothing
-            else:
-                grown = [children[j] for j in grew]
-            if grown:
-                c, g = i[grew], par[grew]
-                grown_kept = np.concatenate([kept[g], ne + c[:, None]], axis=1)
-                w, p, beta = _border(state[1][g], state[2][g], state[3][g], units, v[grew], rhs[ne + c])
-                signs = np.flatnonzero(~((beta < -tol) & (grown_kept >= ne)).any(axis=1))
-                if len(signs):
-                    consider([grown[j] for j in signs], grown_kept[signs], beta[signs])
-                if depth > 1:
-                    grown_q = np.concatenate([q[grew], units[:, None]], axis=1)
-                    walk(grown, c, grown_kept, (grown_q, w, p, beta), depth - 1)
-            if depth > 1 and dependent.any():
-                # a dependent row keeps its parent's rows, so its candidate is
-                # the parent's (with a larger key) but its supersets are new;
-                # one that contradicts the kept rows ends its branch
-                fits = np.flatnonzero(dependent)
-                f = par[fits]
-                fits = fits[_consistent(state[1][f], v[fits], offsets[kept[f]], offsets[ne + i[fits]])]
-                f = par[fits]
-                walk([children[j] for j in fits], i[fits], kept[f], tuple(a[f] for a in state), depth - 1)
+            if dependent.any():  # a dependent boundary ends its branch
+                grew = ~dependent
+                par, i, q, v = par[grew], i[grew], q[grew], v[grew]
+                if not len(par):
+                    continue
+            grown = [actives[a] + (b,) for a, b in zip(par.tolist(), i.tolist())]
+            grown_kept = np.concatenate([kept[par], ne + i[:, None]], axis=1)
+            w, p, beta = _border(state[1][par], state[2][par], state[3][par], units, v, rhs[ne + i])
+            signs = np.flatnonzero(~((beta < -tol) & (grown_kept >= ne)).any(axis=1))
+            if len(signs):
+                consider([grown[j] for j in signs], grown_kept[signs], beta[signs])
+            if depth > 1:
+                grown_q = np.concatenate([q, units[:, None]], axis=1)
+                walk(grown, i, grown_kept, (grown_q, w, p, beta), depth - 1)
 
     kept_eq, state, consistent = _scan_rows(normals[:ne], offsets[:ne], rhs[:ne])
     if not consistent:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,45 @@ class TestActiveSetPruning:
         with pytest.raises(EmptySet):
             oracle_project([plane, Hyperplane(2.0 * plane.u, 2.0 * plane.eta + 1.0)] + halfspaces, x)
         assert walked == []
+
+    def test_dependent_boundary_ends_its_branch(self, monkeypatch):
+        # d = 5, one plane, 6 halfspaces and a scaled and an opposed copy of
+        # two of them: a boundary dependent on its parent's kept rows ends its
+        # branch, so the walk borders exactly the active sets of at most
+        # d - rank(E) = 4 boundaries that hold no boundary with its copy
+        walked = []
+        step = polyproj.oracle._border
+
+        def counting_step(w, p, beta, q, v, rhs):
+            walked.append(len(v))
+            return step(w, p, beta, q, v, rhs)
+
+        monkeypatch.setattr(polyproj.oracle, "_border", counting_step)
+        rng = np.random.default_rng(47)
+        anchor = random_point(rng, 5, 1.0)
+        u = unit_vector(rng, 5)
+        plane = Hyperplane(u, float(np.dot(u, anchor)))
+        halfspaces = []
+        for _ in range(6):
+            u = unit_vector(rng, 5)
+            halfspaces.append(Halfspace(u, float(np.dot(u, anchor)) + float(rng.uniform(0.0, 1.0))))
+        for c, h in zip((3.0, -2.0), halfspaces[:2]):
+            halfspaces.append(Halfspace(c * h.u, c * h.eta))
+        # each copy right after its original, so the copy has supersets to skip
+        halfspaces = [halfspaces[i] for i in (0, 6, 1, 7, 2, 3, 4, 5)]
+        copies = {1: 0, 3: 2}
+        x = anchor + random_point(rng, 5)
+        sets = [plane] + halfspaces
+        point, cert = oracle_project(sets, x)
+        expected = sum(
+            1
+            for size in range(1, 5)
+            for active in itertools.combinations(range(8), size)
+            if not any(copy in active and original in active for copy, original in copies.items())
+        )
+        assert sum(walked) == expected == 119
+        for got, want in zip((point, cert.lam, cert.beta), full_enumeration(sets, x)):
+            assert np.array_equal(got, want)
 
     def test_more_subsets_than_one_stack(self, monkeypatch):
         # d = 5, 11 halfspaces: C(11,5) = 462 active sets keep 5 rows, so that

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from polyproj import Halfspace, Hyperplane, Membership, contains, dykstra, oracle_project
+from polyproj import Halfspace, Hyperplane, Membership, contains, dykstra, kkt_check, oracle_project
 from polyproj.atomic import SetBlock
-from polyproj.closed_form import certify, project, project_pair_rows
+from polyproj.closed_form import ProjectionBreakdown, certify, project, project_pair_rows
 from polyproj.instances import generate_instance
 
 POWERS = (-600, -300, -64, -1, 1, 64, 300, 600)
@@ -79,4 +79,11 @@ def test_squares_outside_the_float_range():
     assert rows[0].tobytes() == bd.point.tobytes()
     # |u| = 1e-20: the bound tol (1 + |eta| + |u| |x|) is read on the prescaled
     # set, so x_1 = 1000 is far outside x_1 <= 0
-    assert contains(Halfspace([1e-20, 0.0], 0.0), [1000.0, 1.0]) is Membership.OUTSIDE
+    tiny = Halfspace([1e-20, 0.0], 0.0)
+    x = np.array([1000.0, 1.0])
+    assert contains(tiny, x) is Membership.OUTSIDE
+    # kkt_check reads the raw gap 1e-17 against tol; certify reads the
+    # prescaled bound as contains does
+    bd = ProjectionBreakdown(x.copy(), np.array([0.0]), (tiny,))
+    assert kkt_check([tiny], x, bd.point, [0.0], []).valid
+    assert not certify(bd, x).valid
