@@ -322,6 +322,27 @@ class TestBorderedStep:
 
 
 class TestConsistent:
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_verdict_on_the_implied_offset(self, dim):
+        # every 0 < k < d: v combines k scanned rows, each row and its offset
+        # scaled alike; the implied offset, or one shifted by a tenth of the
+        # tolerance, is consistent, and one shifted by ten times it is not
+        rng = np.random.default_rng(300 + dim)
+        n = 60
+        for k in range(1, dim):
+            rows, _, states = scanned_states(rng, n, k, dim)
+            scale = np.linalg.norm(rows, axis=2)
+            kept_offsets = rng.normal(size=(n, k)) * scale
+            coeffs = rng.normal(size=(n, k)) / scale
+            v = (coeffs[:, :, None] * rows).sum(axis=1)
+            implied = (coeffs * kept_offsets).sum(axis=1)
+            for i, (_, w, _, _) in enumerate(states):
+                band = DEPENDENCE_TOL * (1.0 + abs(implied[i]))
+                assert _consistent(w, v[i], kept_offsets[i], float(implied[i]))
+                assert _consistent(w, v[i], kept_offsets[i], float(implied[i] + 0.1 * band))
+                assert not _consistent(w, v[i], kept_offsets[i], float(implied[i] + 10.0 * band))
+                assert not _consistent(w, v[i], kept_offsets[i], float(implied[i] - 10.0 * band))
+
     def test_zero_row_needs_a_zero_offset(self):
         w = np.eye(2)[:1]
         assert _consistent(w, np.zeros(2), np.array([3.0]), 0.0)
